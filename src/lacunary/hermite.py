@@ -4,8 +4,9 @@
 function e^(u*z + z^2/2): h_n(u) sums u^(#unmatched) over all matchings of
 an n-set, so every coefficient is a nonnegative integer.  ``hermite_H`` is
 the physicists' normalization with generating function e^(2*u*z - z^2).
-Both are produced by their three-term recurrences; the generating-function
-and brute-force-enumeration cross-checks live in the test suite.
+Both come from one iterative three-term recurrence whose constants differ;
+the generating-function and brute-force-enumeration cross-checks live in
+the test suite.
 
 ``m_moment`` is the moment sequence (2k)!/(2^k k!) on even indices and 0 on
 odd ones, i.e. the number of perfect matchings of an n-set; it drives the
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import lru_cache
+from collections.abc import Iterator
+from itertools import count, islice
 
-from .poly import POLY_ONE, UPolynomial
+from .poly import POLY_ONE, POLY_ZERO, UPolynomial
 from .rational import Rational
 
 
@@ -35,32 +37,34 @@ class HermiteKind(enum.Enum):
     PHYSICIST = "H"  # EGF e^(2 u z - z^2), leading coefficient 2^n
 
 
-@lru_cache(maxsize=None)
-def hermite_h(n: int) -> UPolynomial:
-    """Matchings-normalized Hermite polynomial via h_{n+1} = u*h_n + n*h_{n-1}."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return POLY_ONE
-    if n == 1:
-        return UPolynomial.u()
-    return UPolynomial.u() * hermite_h(n - 1) + (n - 1) * hermite_h(n - 2)
+# (c, d) of the three-term recurrence P_{k+1} = c*u*P_k + d*k*P_{k-1}, P_0 = 1
+_RECURRENCE = {HermiteKind.PROBABILIST: (1, 1), HermiteKind.PHYSICIST: (2, -2)}
 
 
-@lru_cache(maxsize=None)
-def hermite_H(n: int) -> UPolynomial:
-    """Physicists' Hermite polynomial via H_{n+1} = 2u*H_n - 2n*H_{n-1}."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return POLY_ONE
-    if n == 1:
-        return UPolynomial.u(coeff=2)
-    return UPolynomial.u(coeff=2) * hermite_H(n - 1) - (2 * (n - 1)) * hermite_H(n - 2)
+def hermite_polynomials(kind: HermiteKind) -> Iterator[UPolynomial]:
+    """P_0, P_1, P_2, ... of one normalization, each from the two before it."""
+    c, d = _RECURRENCE[kind]
+    cu = UPolynomial.u(coeff=c)
+    previous, current = POLY_ZERO, POLY_ONE
+    for k in count():
+        yield current
+        previous, current = current, cu * current + (d * k) * previous
 
 
 def hermite(kind: HermiteKind, n: int) -> UPolynomial:
-    return hermite_h(n) if kind is HermiteKind.PROBABILIST else hermite_H(n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return next(islice(hermite_polynomials(kind), n, None))
+
+
+def hermite_h(n: int) -> UPolynomial:
+    """Matchings-normalized Hermite polynomial: h_{n+1} = u*h_n + n*h_{n-1}."""
+    return hermite(HermiteKind.PROBABILIST, n)
+
+
+def hermite_H(n: int) -> UPolynomial:
+    """Physicists' Hermite polynomial: H_{n+1} = 2u*H_n - 2n*H_{n-1}."""
+    return hermite(HermiteKind.PHYSICIST, n)
 
 
 def m_moment(n: int) -> int:

@@ -7,9 +7,13 @@ coefficients in u.  The central object is the weighted rooted-tree series
     w = u + 3*w^2*z = (1 - sqrt(1 - 12*u*z)) / (6*z),
 
 whose z^n coefficient is 3^n * C_n * u^(n+1) with C_n the Catalan numbers.
-``w_series`` computes the fixed point and the closed form, asserts they
-agree, and is cached per order so that every factor of an identity shares
-one w, which keeps a verification run internally consistent.
+Each factor is built by one route: ``w_series`` by that Catalan formula,
+``tree_gf`` by its explicit coefficient formula and ``one_cycle_factor`` as
+the inverse square root of 1 - 6wz.  The other routes are checks only:
+``w-routes`` compares the fixed point and the closed form against
+``w_series``, ``tree-gf-routes`` the product and integral routes against
+``tree_gf``, and ``one-cycle-routes`` the exp-log route against
+``one_cycle_factor``.  Nothing is cached; w is cheap to rebuild.
 
 The identities themselves form a closed enumeration (see IDENTITIES);
 ``verify`` builds both sides and compares coefficient by coefficient,
@@ -27,9 +31,9 @@ components with at least two independent cycles.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from itertools import islice
 
-from .hermite import hermite_h
+from .hermite import HermiteKind, hermite_polynomials
 from .poly import POLY_ONE, POLY_U, UPolynomial
 from .rational import Rational
 from .report import IdentityReport, Mismatch, compare_series
@@ -71,8 +75,8 @@ def w_closed_form(order: int) -> TruncSeries:
     return (TruncSeries.one(order + 1) - radicand.sqrt()).div_z() / 6
 
 
-def w_explicit(order: int) -> TruncSeries:
-    """Coefficient formula: z^n |-> 3^n * C_n * u^(n+1)."""
+def w_series(order: int) -> TruncSeries:
+    """The tree series w by its coefficients: z^n |-> 3^n * C_n * u^(n+1)."""
     return TruncSeries(
         order,
         {
@@ -82,30 +86,14 @@ def w_explicit(order: int) -> TruncSeries:
     )
 
 
-@lru_cache(maxsize=None)
-def w_series(order: int) -> TruncSeries:
-    """The shared tree series w, computed two ways and asserted equal."""
-    w = w_fixed_point(order)
-    if w != w_closed_form(order):
-        raise AssertionError(f"w routes disagree at order {order}")
-    return w
-
-
-@lru_cache(maxsize=None)
 def lhs_lacunary(stride: int, order: int) -> TruncSeries:
     """sum_{n<=order} h_{stride*n}(u) z^n / n! for stride 2 or 3."""
     if stride not in (2, 3):
         raise ValueError(f"stride must be 2 or 3, got {stride}")
-    return TruncSeries(
-        order,
-        {
-            (n,): hermite_h(stride * n) / math.factorial(n)
-            for n in range(order + 1)
-        },
-    )
+    h = islice(hermite_polynomials(HermiteKind.PROBABILIST), 0, stride * order + 1, stride)
+    return TruncSeries(order, {(n,): p / math.factorial(n) for n, p in enumerate(h)})
 
 
-@lru_cache(maxsize=None)
 def rhs_doetsch(order: int) -> TruncSeries:
     """(1 - 2z)^(-1/2) * exp(u^2 z / (1 - 2z))."""
     one = TruncSeries.one(order)
@@ -140,22 +128,13 @@ def tree_gf_integral_route(order: int) -> TruncSeries:
     return quotient - TruncSeries.from_poly(UPolynomial.u(power=2) / 2, order)
 
 
-def tree_gf_explicit_route(order: int) -> TruncSeries:
-    """sum_{n>=1} 3^n (2n)!/(n+2)! u^(n+2) z^n / n!."""
+def tree_gf(order: int) -> TruncSeries:
+    """The unrooted-tree series T = sum_{n>=1} 3^n (2n)!/(n+2)! u^(n+2) z^n / n!."""
     coeffs = {}
     for n in range(1, order + 1):
         c = Rational(3**n * math.factorial(2 * n), math.factorial(n + 2) * math.factorial(n))
         coeffs[(n,)] = UPolynomial.u(power=n + 2, coeff=c)
     return TruncSeries(order, coeffs)
-
-
-@lru_cache(maxsize=None)
-def tree_gf(order: int) -> TruncSeries:
-    """The unrooted-tree series T; all three routes must agree."""
-    t = tree_gf_product_route(order)
-    if t != tree_gf_integral_route(order) or t != tree_gf_explicit_route(order):
-        raise AssertionError(f"tree generating function routes disagree at order {order}")
-    return t
 
 
 # -- cycle factors ------------------------------------------------------------
@@ -169,17 +148,9 @@ def one_cycle_exp_log_route(order: int) -> TruncSeries:
     return (_one_minus_6wz(order).log() * Rational(-1, 2)).exp()
 
 
-def one_cycle_inverse_sqrt_route(order: int) -> TruncSeries:
-    return _one_minus_6wz(order).sqrt().inverse()
-
-
-@lru_cache(maxsize=None)
 def one_cycle_factor(order: int) -> TruncSeries:
     """(1 - 6wz)^(-1/2): graphs whose components are single cycles of trees."""
-    factor = one_cycle_inverse_sqrt_route(order)
-    if factor != one_cycle_exp_log_route(order):
-        raise AssertionError(f"one-cycle routes disagree at order {order}")
-    return factor
+    return _one_minus_6wz(order).sqrt().inverse()
 
 
 def multi_cycle_coefficient(n: int) -> Rational:
@@ -189,7 +160,6 @@ def multi_cycle_coefficient(n: int) -> Rational:
     )
 
 
-@lru_cache(maxsize=None)
 def multi_cycle_factor(order: int) -> TruncSeries:
     """sum_n (6n)!/(2^(3n)(3n)!) * (1-6wz)^(-3n) * z^(2n)/(2n)!."""
     inv_cubed = _one_minus_6wz(order).inverse() ** 3
@@ -202,7 +172,6 @@ def multi_cycle_factor(order: int) -> TruncSeries:
     return total
 
 
-@lru_cache(maxsize=None)
 def rhs_main(order: int) -> TruncSeries:
     """exp(T) * (1-6wz)^(-1/2) * multi-cycle sum."""
     return tree_gf(order).exp() * one_cycle_factor(order) * multi_cycle_factor(order)
@@ -287,7 +256,7 @@ def _verify_tree_gf_routes(order: int) -> IdentityReport:
     return _verify_routes(
         "tree-gf-routes",
         order,
-        (tree_gf_product_route, tree_gf_integral_route, tree_gf_explicit_route),
+        (tree_gf, tree_gf_product_route, tree_gf_integral_route),
     )
 
 
@@ -295,13 +264,13 @@ def _verify_one_cycle_routes(order: int) -> IdentityReport:
     return _verify_routes(
         "one-cycle-routes",
         order,
-        (one_cycle_inverse_sqrt_route, one_cycle_exp_log_route),
+        (one_cycle_factor, one_cycle_exp_log_route),
     )
 
 
 def _verify_w_routes(order: int) -> IdentityReport:
     return _verify_routes(
-        "w-routes", order, (w_fixed_point, w_closed_form, w_explicit)
+        "w-routes", order, (w_series, w_fixed_point, w_closed_form)
     )
 
 

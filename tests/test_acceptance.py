@@ -125,14 +125,11 @@ def test_criterion_7_hypergeometric_form():
 
 def test_criterion_8_tree_gf_routes():
     def run():
-        routes = verify("tree-gf-routes", 12)
-        derivative = verify("dT-du", 12)  # compares at order 11
-        return routes.verified and derivative.verified, (
-            routes.to_dict(),
-            derivative.to_dict(),
-        )
+        names = ("tree-gf-routes", "w-routes", "one-cycle-routes", "dT-du")
+        reports = [verify(name, 12) for name in names]  # dT-du compares at order 11
+        return all(r.verified for r in reports), [r.to_dict() for r in reports]
 
-    _criterion("8 tree-gf routes order 12, dT/du order 11", run)
+    _criterion("8 tree-gf, w and one-cycle routes order 12, dT/du order 11", run)
 
 
 def test_criterion_9_property_suites():

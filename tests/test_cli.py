@@ -7,6 +7,7 @@ import pytest
 from lacunary import cli
 from lacunary.poly import UPolynomial
 from lacunary.report import IdentityReport, Mismatch
+from lacunary.series import TruncSeries
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +31,15 @@ def test_hermite_zero(capsys):
     code, out = run_cli(capsys, "hermite", "--kind", "h", "--n", "0")
     assert code == 0
     assert out == "1\n"
+
+
+@pytest.mark.parametrize(
+    "kind, leading", [("h", "u^500 + "), ("H", f"{2**500}*u^500 - ")], ids=("h", "H")
+)
+def test_hermite_high_degree(capsys, kind, leading):
+    code, out = run_cli(capsys, "hermite", "--kind", kind, "--n", "500")
+    assert code == 0
+    assert out.startswith(leading)
 
 
 def test_hermite_json(capsys):
@@ -65,6 +75,27 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["status"] == "mismatch"
     assert payload["mismatch"] == {"exponents": [1], "lhs": "u", "rhs": "2*u"}
+
+
+@pytest.mark.parametrize(
+    "builder, identity",
+    [
+        ("w_series", "w-routes"),
+        ("tree_gf", "tree-gf-routes"),
+        ("one_cycle_factor", "one-cycle-routes"),
+    ],
+)
+def test_routes_identity_catches_a_wrong_factor(capsys, monkeypatch, builder, identity):
+    """The route identities are the only check on the factor each one builds."""
+    exact = getattr(cli.identities, builder)
+    monkeypatch.setattr(
+        cli.identities,
+        builder,
+        lambda order: exact(order) + TruncSeries.monomial((3,), UPolynomial.one(), order),
+    )
+    code, out = run_cli(capsys, "verify", identity, "--order", "6")
+    assert code == 1
+    assert out.startswith(f"{identity} @ order 6: mismatch\n  first mismatch at exponents [3]\n")
 
 
 def test_verify_usage_errors(capsys):

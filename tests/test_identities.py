@@ -14,16 +14,13 @@ from lacunary.identities import (
     multi_cycle_factor,
     one_cycle_exp_log_route,
     one_cycle_factor,
-    one_cycle_inverse_sqrt_route,
     rhs_doetsch,
     rhs_main,
     tree_gf,
-    tree_gf_explicit_route,
     tree_gf_integral_route,
     tree_gf_product_route,
     verify,
     w_closed_form,
-    w_explicit,
     w_fixed_point,
     w_series,
 )
@@ -45,8 +42,8 @@ def test_w_low_coefficients():
 
 
 def test_w_routes_agree():
-    for order in (0, 1, 5, 10):
-        assert w_fixed_point(order) == w_closed_form(order) == w_explicit(order)
+    for order in (0, 1, 5, 10, 12):
+        assert w_fixed_point(order) == w_closed_form(order) == w_series(order)
 
 
 def test_w_functional_equation():
@@ -84,7 +81,7 @@ def test_tree_gf_routes_and_values():
     assert (
         tree_gf_product_route(6)
         == tree_gf_integral_route(6)
-        == tree_gf_explicit_route(6)
+        == tree_gf(6)
     )
 
 
@@ -102,7 +99,7 @@ def test_one_cycle_factor():
     assert factor.coefficient((0,)) == UPolynomial.one()
     assert factor.coefficient((1,)) == UPolynomial.u(coeff=3)
     assert factor.coefficient((2,)) == UPolynomial.u(power=2, coeff=Rational(45, 2))
-    assert one_cycle_exp_log_route(4) == one_cycle_inverse_sqrt_route(4)
+    assert one_cycle_exp_log_route(4) == one_cycle_factor(4)
 
 
 def test_multi_cycle_factor():
