@@ -186,6 +186,11 @@ def main(argv=None) -> int:
         order=getattr(args, "order", DEFAULT_ORDER),
         n=getattr(args, "n", 0),
     )
+    # Coefficients of any size print: lift Python's int-to-str digit limit
+    # (3.10.7 and later; 0 means none) while the command runs.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         if args.subcommand == "hermite":
             return cmd_hermite(config, args.kind, args.n)
@@ -196,6 +201,9 @@ def main(argv=None) -> int:
         return cmd_oracle(config, args.target)
     except ValueError as exc:
         parser.error(str(exc))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -34,7 +34,7 @@ import math
 from itertools import islice
 
 from .hermite import HermiteKind, hermite_polynomials
-from .poly import POLY_ONE, POLY_U, UPolynomial
+from .poly import POLY_U, UPolynomial
 from .rational import Rational
 from .report import IdentityReport, Mismatch, compare_series
 from .series import TruncSeries
@@ -161,14 +161,17 @@ def multi_cycle_coefficient(n: int) -> Rational:
 
 
 def multi_cycle_factor(order: int) -> TruncSeries:
-    """sum_n (6n)!/(2^(3n)(3n)!) * (1-6wz)^(-3n) * z^(2n)/(2n)!."""
+    """sum_n (6n)!/(2^(3n)(3n)!) * (1-6wz)^(-3n) * z^(2n)/(2n)!.
+
+    The n-th power is shifted by z^(2n), so it is built only to order - 2n."""
     inv_cubed = _one_minus_6wz(order).inverse() ** 3
     total = TruncSeries.one(order)
     power = TruncSeries.one(order)
     for n in range(1, order // 2 + 1):
-        power = power * inv_cubed
-        z2n = TruncSeries.monomial((2 * n,), POLY_ONE, order)
-        total = total + multi_cycle_coefficient(n) * power * z2n
+        rest = order - 2 * n
+        power = power.truncated(rest) * inv_cubed.truncated(rest)
+        term = multi_cycle_coefficient(n) * power
+        total = total + TruncSeries(order, {(e + 2 * n,): p for (e,), p in term.items()})
     return total
 
 

@@ -1,18 +1,15 @@
 """Exact rational scalars: the coefficient field for everything else.
 
-``Rational`` is gmpy2's ``mpq`` when gmpy2 is importable and the stdlib
-``Fraction`` otherwise.  Both keep values in lowest terms with a positive
-denominator, mix freely with Python ints, and never round, so the rest of
-the package does not care which one is active.  gmpy2 is preferred purely
-for speed (roughly 5-10x on the dense series arithmetic).
+``Rational`` is the stdlib ``fractions.Fraction``: values stay in lowest
+terms with a positive denominator, mix freely with Python ints, and never
+round.  The series kernel does its inner work on int numerators over a
+common denominator (see ``series``), so ``Rational`` appears only where
+coefficients are stored, built or printed.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rational
+from fractions import Fraction as Rational
 
 RATIONAL_ZERO = Rational(0)
 RATIONAL_ONE = Rational(1)

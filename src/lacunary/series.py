@@ -18,14 +18,26 @@ is the one operation that loses an order of information, so it is exposed
 as the explicit :meth:`div_z`, which checks divisibility and lowers the
 recorded order by one.
 
+Products, in ``*`` and in the recurrences, run on one integer kernel.  Each
+operand (or homogeneous part) is *lifted*: its coefficients become ``int``
+numerators over one denominator, the lcm of their denominators.  The
+multiply-add loop then adds pure ``int`` products into sums keyed by
+(series exponents, polynomial exponents), and each sum is *lowered* once,
+with one gcd, back to a normalized ``Rational``; sums that cancel to zero
+are pruned.  A recurrence step brings its products to a common denominator
+by scaling one operand of each by an integer factor before the loop.
+
 Instances are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
+from operator import add
 from typing import Iterator, Mapping, Sequence, Tuple
 
-from .poly import POLY_ONE, UPolynomial
+from .poly import POLY_ONE, POLY_ZERO, UPolynomial
+from .poly import _make as _make_poly
 from .rational import RATIONAL_ZERO, Rational
 
 Exponents = Tuple[int, ...]
@@ -189,16 +201,11 @@ class TruncSeries:
         if other is NotImplemented:
             return NotImplemented
         order = self._check_compatible(other)
-        out: dict[Exponents, UPolynomial] = {}
-        for ea, pa in self._coeffs.items():
-            for eb, pb in other._coeffs.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                if sum(e) > order:
-                    continue
-                prod = pa * pb
-                s = out.get(e)
-                out[e] = prod if s is None else s + prod
-        return _make(order, {e: p for e, p in out.items() if p}, self.vars)
+        den_a, terms_a = _lift(self._coeffs)
+        den_b, terms_b = _lift(other._coeffs)
+        acc: dict = {}
+        _mul_add(acc, terms_a, terms_b, order)
+        return _make(order, _lower(acc, den_a * den_b), self.vars)
 
     __rmul__ = __mul__
 
@@ -266,12 +273,31 @@ class TruncSeries:
 
     # -- analytic-style operations -----------------------------------------
 
-    def _parts(self) -> list[dict[Exponents, UPolynomial]]:
-        """Coefficients grouped by homogeneous total degree 0..order."""
+    def _lifted_parts(self) -> list:
+        """Coefficients grouped by homogeneous total degree 0..order, each lifted."""
         parts: list[dict[Exponents, UPolynomial]] = [{} for _ in range(self.order + 1)]
         for e, p in self._coeffs.items():
             parts[sum(e)][e] = p
-        return parts
+        return [_lift(part) for part in parts]
+
+    def _recurrence(self, first: UPolynomial, step) -> "TruncSeries":
+        """Homogeneous parts 0..order: part 0 is ``first`` and part d is
+        ``scale * sum(weight * x * y)`` for ``(products, scale) = step(d, parts)``,
+        where ``parts`` holds the lifted parts 0..d-1."""
+        zero = (0,) * len(self.vars)
+        parts = [{zero: first} if first else {}]
+        lifted = [_lift(parts[0])]
+        for d in range(1, self.order + 1):
+            products, scale = step(d, lifted)
+            products = [(w, x, y) for w, x, y in products if x[1] and y[1]]
+            den = math.lcm(*(x[0] * y[0] for _, x, y in products))
+            acc: dict = {}
+            for w, (den_x, xs), (den_y, ys) in products:
+                f = w * (den // (den_x * den_y))
+                _mul_add(acc, [(e, [(du, dx, c * f) for du, dx, c in p]) for e, p in xs], ys, d)
+            parts.append(_lower(acc, den, scale))
+            lifted.append(_lift(parts[-1]))
+        return _from_parts(self.order, parts, self.vars)
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; the constant coefficient must be a nonzero scalar."""
@@ -279,71 +305,47 @@ class TruncSeries:
         if not c0.is_constant() or c0.is_zero():
             raise ValueError(f"inverse needs a unit scalar constant term, got {c0}")
         c = c0.constant_value()
-        a = self._parts()
-        b: list[dict[Exponents, UPolynomial]] = [
-            {(0,) * len(self.vars): UPolynomial.constant(1 / c)}
-        ]
-        for d in range(1, self.order + 1):
-            acc: dict[Exponents, UPolynomial] = {}
-            for e in range(d):
-                _acc_product(acc, b[e], a[d - e])
-            b.append({k: p * (-1 / c) for k, p in acc.items() if p})
-        return _from_parts(self.order, b, self.vars)
+        a = self._lifted_parts()
+        return self._recurrence(
+            UPolynomial.constant(1 / c),
+            lambda d, b: ([(1, b[e], a[d - e]) for e in range(d)], -1 / c),
+        )
 
     def sqrt(self) -> "TruncSeries":
         """Square root with constant term 1; requires constant coefficient 1."""
         self._require_constant_one("sqrt")
-        a = self._parts()
-        half = Rational(1, 2)
-        b: list[dict[Exponents, UPolynomial]] = [{(0,) * len(self.vars): POLY_ONE}]
-        for d in range(1, self.order + 1):
-            acc: dict[Exponents, UPolynomial] = {}
-            for e in range(1, d):
-                _acc_product(acc, b[e], b[d - e])
-            part = dict(a[d])
-            for k, p in acc.items():
-                s = part.get(k)
-                part[k] = -p if s is None else s - p
-            b.append({k: p * half for k, p in part.items() if p})
-        return _from_parts(self.order, b, self.vars)
+        a = self._lifted_parts()
+        one = _lift({(0,) * len(self.vars): POLY_ONE})
+        return self._recurrence(
+            POLY_ONE,
+            lambda d, b: (
+                [(1, a[d], one)] + [(-1, b[e], b[d - e]) for e in range(1, d)],
+                Rational(1, 2),
+            ),
+        )
 
     def exp(self) -> "TruncSeries":
         """Exponential of a series with zero constant coefficient."""
         if self.constant_coefficient():
             raise ValueError("exp needs a zero constant term")
-        f = self._parts()
-        b: list[dict[Exponents, UPolynomial]] = [{(0,) * len(self.vars): POLY_ONE}]
-        for d in range(1, self.order + 1):
-            acc: dict[Exponents, UPolynomial] = {}
-            for e in range(1, d + 1):
-                if not f[e]:
-                    continue
-                scaled = {k: p * e for k, p in f[e].items()}
-                _acc_product(acc, scaled, b[d - e])
-            inv_d = Rational(1, d)
-            b.append({k: p * inv_d for k, p in acc.items() if p})
-        return _from_parts(self.order, b, self.vars)
+        f = self._lifted_parts()
+        return self._recurrence(
+            POLY_ONE,
+            lambda d, b: ([(e, f[e], b[d - e]) for e in range(1, d + 1)], Rational(1, d)),
+        )
 
     def log(self) -> "TruncSeries":
         """Logarithm of a series with constant coefficient 1 (log has constant 0)."""
         self._require_constant_one("log")
-        a = self._parts()
-        g: list[dict[Exponents, UPolynomial]] = [{}]
-        for d in range(1, self.order + 1):
-            acc: dict[Exponents, UPolynomial] = {}
-            for e in range(1, d):
-                if not a[e]:
-                    continue
-                scaled = {k: p * (d - e) for k, p in a[e].items()}
-                _acc_product(acc, scaled, g[d - e])
-            inv_d = Rational(1, d)
-            part = dict(a[d])
-            for k, p in acc.items():
-                s = part.get(k)
-                t = -p * inv_d if s is None else s - p * inv_d
-                part[k] = t
-            g.append({k: p for k, p in part.items() if p})
-        return _from_parts(self.order, g, self.vars)
+        a = self._lifted_parts()
+        one = _lift({(0,) * len(self.vars): POLY_ONE})
+        return self._recurrence(
+            POLY_ZERO,
+            lambda d, g: (
+                [(d, a[d], one)] + [(e - d, a[e], g[d - e]) for e in range(1, d)],
+                Rational(1, d),
+            ),
+        )
 
     def _require_constant_one(self, opname: str) -> None:
         if self.constant_coefficient() != POLY_ONE:
@@ -393,13 +395,39 @@ def _from_parts(order, parts, vars) -> TruncSeries:
     return _make(order, coeffs, vars)
 
 
-def _acc_product(acc, part_a, part_b) -> None:
-    """acc += part_a * part_b for homogeneous coefficient groups."""
-    if not part_a or not part_b:
-        return
-    for ea, pa in part_a.items():
-        for eb, pb in part_b.items():
-            e = tuple(i + j for i, j in zip(ea, eb))
-            prod = pa * pb
-            s = acc.get(e)
-            acc[e] = prod if s is None else s + prod
+# -- the integer kernel ----------------------------------------------------------
+# A lifted group is (den, [(exponents, [(deg_u, deg_x, numerator)])]).
+
+
+def _lift(coeffs: Mapping[Exponents, UPolynomial]):
+    """The terms of ``coeffs`` as int numerators over one common denominator."""
+    den = math.lcm(*(c.denominator for p in coeffs.values() for _, c in p.items()))
+    return den, [
+        (e, [(du, dx, c.numerator * (den // c.denominator)) for (du, dx), c in p.items()])
+        for e, p in coeffs.items()
+    ]
+
+
+def _mul_add(acc, terms_a, terms_b, order) -> None:
+    """acc[exponents][(deg_u, deg_x)] += a * b over lifted terms of total degree <= order."""
+    for ea, pa in terms_a:
+        for eb, pb in terms_b:
+            e = tuple(map(add, ea, eb))
+            if sum(e) > order:
+                continue
+            sums = acc.setdefault(e, {})
+            for au, ax, ca in pa:
+                for bu, bx, cb in pb:
+                    k = (au + bu, ax + bx)
+                    sums[k] = sums.get(k, 0) + ca * cb
+
+
+def _lower(acc, den: int, scale=1) -> dict[Exponents, UPolynomial]:
+    """The accumulated sums times ``scale / den`` as normalized polynomials, zeros pruned."""
+    num, den = scale.numerator, den * scale.denominator
+    out = {}
+    for e, sums in acc.items():
+        coeffs = {k: Rational(n * num, den) for k, n in sums.items() if n}
+        if coeffs:
+            out[e] = _make_poly(coeffs)
+    return out

@@ -1,6 +1,7 @@
 """CLI surface: output grammar, JSON stability, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -40,6 +41,20 @@ def test_hermite_high_degree(capsys, kind, leading):
     code, out = run_cli(capsys, "hermite", "--kind", kind, "--n", "500")
     assert code == 0
     assert out.startswith(leading)
+
+
+def test_hermite_prints_coefficients_beyond_the_digit_limit(capsys, monkeypatch):
+    # H_2700 has such a coefficient but takes half a minute to build.
+    monkeypatch.setattr(cli, "hermite", lambda kind, n: UPolynomial.u(coeff=10**4300))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        code, out = run_cli(capsys, "hermite", "--kind", "H", "--n", "2700")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert out == "1" + "0" * 4300 + "*u\n"
 
 
 def test_hermite_json(capsys):

@@ -194,3 +194,39 @@ def test_main_coefficients_match_hermite():
     rhs = rhs_main(order)
     for n in range(order + 1):
         assert rhs.coefficient((n,)) * math.factorial(n) == hermite_h(3 * n)
+
+
+def _sympy_closed_forms():
+    sp = pytest.importorskip("sympy")
+    u, z = sp.symbols("u z")
+    w = (1 - sp.sqrt(1 - 12 * u * z)) / (6 * z)
+    tree = (w - u) * (3 * u - w) / 6
+    base = 1 - 6 * w * z
+    multi = sum(
+        sp.factorial(6 * n) / (2 ** (3 * n) * sp.factorial(3 * n) * sp.factorial(2 * n))
+        * base ** (-3 * n) * z ** (2 * n)
+        for n in range(3)  # later terms start at z^6, above every order tested
+    )
+    doetsch = (1 - 2 * z) ** sp.Rational(-1, 2) * sp.exp(u**2 * z / (1 - 2 * z))
+    return sp, u, z, {
+        "w": w,
+        "doetsch": doetsch,
+        "main": sp.exp(tree) / sp.sqrt(base) * multi,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, builder, order",
+    [("w", w_series, 8), ("doetsch", rhs_doetsch, 5), ("main", rhs_main, 4)],
+)
+def test_series_match_sympy_expansion(name, builder, order):
+    """Every coefficient agrees with sympy's own series expansion of the closed form."""
+    sp, u, z, closed_forms = _sympy_closed_forms()
+    expansion = sp.Poly(sp.expand(sp.series(closed_forms[name], z, 0, order + 1).removeO()), z)
+    built = builder(order)
+    for n in range(order + 1):
+        ours = sum(
+            sp.Rational(c.numerator, c.denominator) * u**du
+            for (du, _), c in built.coefficient((n,)).items()
+        )
+        assert sp.expand(expansion.coeff_monomial(z**n) - ours) == 0, (name, n)

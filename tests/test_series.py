@@ -1,5 +1,8 @@
 """Truncated-series ring operations and the coefficient recurrences."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from lacunary.poly import UPolynomial
@@ -226,3 +229,118 @@ def test_inverse_pairs_randomized():
 
 def test_truncation_consistency_randomized():
     check_truncation_consistency(300)
+
+
+# -- the integer kernel against a schoolbook Fraction reference ----------------
+#
+# The reference works on plain {exponents: {(deg_u, deg_x): Fraction}} dicts
+# read through items(), and builds inverse, sqrt, exp and log as truncated
+# sums of powers (geometric, binomial and exponential series), not by the
+# kernel's degree-by-degree recurrences.
+
+
+def plain(s):
+    return {e: dict(p.items()) for e, p in s.items()}
+
+
+def ref_mul(a, b, order):
+    out = {}
+    for ea, pa in a.items():
+        for eb, pb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            if sum(e) > order:
+                continue
+            poly = out.setdefault(e, {})
+            for (au, ax), ca in pa.items():
+                for (bu, bx), cb in pb.items():
+                    k = (au + bu, ax + bx)
+                    poly[k] = poly.get(k, Fraction(0)) + ca * cb
+    return ref_prune(out)
+
+
+def ref_prune(s):
+    pruned = {e: {k: c for k, c in p.items() if c} for e, p in s.items()}
+    return {e: p for e, p in pruned.items() if p}
+
+
+def ref_add(a, b, scale=Fraction(1)):
+    """a + scale * b."""
+    out = {e: dict(p) for e, p in a.items()}
+    for e, p in b.items():
+        poly = out.setdefault(e, {})
+        for k, c in p.items():
+            poly[k] = poly.get(k, Fraction(0)) + scale * c
+    return ref_prune(out)
+
+
+def ref_one(nvars):
+    return {(0,) * nvars: {(0, 0): Fraction(1)}}
+
+
+def ref_power_sum(g, weights, order, nvars):
+    """sum_k weights(k) * g^k for k = 0..order; g has zero constant term."""
+    total, power = {}, ref_one(nvars)
+    for k in range(order + 1):
+        total = ref_add(total, power, weights(k))
+        power = ref_mul(power, g, order)
+    return total
+
+
+def ref_constant(a, nvars):
+    return a.get((0,) * nvars, {}).get((0, 0), Fraction(0))
+
+
+def ref_inverse(a, order, nvars):
+    c = ref_constant(a, nvars)
+    monic = {e: {k: v / c for k, v in p.items()} for e, p in a.items()}
+    g = ref_add(monic, ref_one(nvars), Fraction(-1))
+    return ref_power_sum(g, lambda k: Fraction((-1) ** k) / c, order, nvars)
+
+
+def ref_sqrt(a, order, nvars):
+    g = ref_add(a, ref_one(nvars), Fraction(-1))
+    binom = lambda k: math.prod(Fraction(1, 2) - i for i in range(k)) / math.factorial(k)
+    return ref_power_sum(g, binom, order, nvars)
+
+
+def ref_exp(f, order, nvars):
+    return ref_power_sum(f, lambda k: Fraction(1, math.factorial(k)), order, nvars)
+
+
+def ref_log(a, order, nvars):
+    g = ref_add(a, ref_one(nvars), Fraction(-1))
+    weights = lambda k: Fraction((-1) ** (k + 1), k) if k else Fraction(0)
+    return ref_power_sum(g, weights, order, nvars)
+
+
+def kernel_cases():
+    """Random operands plus the cancelling, zero and two-variable edge cases."""
+    rng = make_rng(200)
+    for trial in range(60):
+        vars = ("z",) if trial % 2 else ("z", "x")
+        order = rng.randint(0, 5)
+        yield tuple(random_series(rng, order, vars, max_terms=6) for _ in range(2))
+    yield one(3) + z(3), one(3) - z(3)
+    yield TruncSeries.zero(4), random_series(rng, 4)
+    yield TruncSeries.zero(2, ("z", "x")), TruncSeries.zero(2, ("z", "x"))
+    mixed = TruncSeries(3, {(1,): UPolynomial({(0, 0): Rational(-7, 12), (2, 1): Rational(5, 18)})})
+    yield mixed, mixed * Rational(-3, 35)
+
+
+def test_kernel_mul_matches_schoolbook():
+    for a, b in kernel_cases():
+        order = min(a.order, b.order)
+        assert plain(a * b) == ref_mul(plain(a), plain(b), order)
+
+
+def test_kernel_recurrences_match_schoolbook():
+    rng = make_rng(201)
+    for a, _ in kernel_cases():
+        order, nvars = a.order, len(a.vars)
+        zc = a - TruncSeries.from_poly(a.constant_coefficient(), order, a.vars)
+        unit = TruncSeries.one(order, a.vars) + zc
+        scaled = unit * Rational(rng.choice([-5, -2, 3, 7]), rng.randint(1, 9))
+        assert plain(scaled.inverse()) == ref_inverse(plain(scaled), order, nvars)
+        assert plain(unit.sqrt()) == ref_sqrt(plain(unit), order, nvars)
+        assert plain(zc.exp()) == ref_exp(plain(zc), order, nvars)
+        assert plain(unit.log()) == ref_log(plain(unit), order, nvars)
