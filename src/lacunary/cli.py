@@ -1,9 +1,10 @@
 """Command-line frontend: expansion, verification and oracle censuses.
 
 Output goes to stdout in a fixed grammar (see the polynomial rendering in
-``poly``) so that runs with identical inputs are byte-identical.  Exit codes:
-0 when every requested check verifies, 1 on a verification mismatch, 2 on
-usage errors (argparse's convention).
+``poly``) so that runs with identical inputs are byte-identical.  Exit codes
+mean one thing each: 0 when every requested check verifies, 1 on a
+mismatch, 2 on invalid arguments (argparse's convention; checked before
+anything runs), 3 on any other error, named in one line on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import identities, oracle
 from .hermite import HermiteKind, hermite
@@ -22,13 +22,12 @@ from .series import TruncSeries
 
 DEFAULT_ORDER = 12
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    fmt: str
-    order: int = DEFAULT_ORDER
-    n: int = 0
+# The largest --n each brute-force census supports: (noun, name of n, bound).
+ORACLE_BOUNDS = {
+    "matchings": ("matching", "m", oracle.MATCHING_BOUND),
+    "wtrees": ("w-tree", "n", oracle.W_TREE_BOUND),
+    "graphs": ("marked-graph", "n", oracle.MARKED_GRAPH_BOUND),
+}
 
 
 def _hermite_h_egf(order: int) -> TruncSeries:
@@ -119,43 +118,42 @@ def _series_payload(name: str, series: TruncSeries) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def cmd_hermite(config: RunConfig, kind: str, n: int) -> int:
+def cmd_hermite(fmt: str, kind: str, n: int) -> int:
     poly = hermite(HermiteKind(kind), n)
     payload = {"kind": kind, "n": n, "polynomial": str(poly)}
-    _emit(payload, [str(poly)], config.fmt)
+    _emit(payload, [str(poly)], fmt)
     return 0
 
 
-def cmd_expand(config: RunConfig, name: str) -> int:
-    series = SERIES_BUILDERS[name](config.order)
+def cmd_expand(fmt: str, name: str, order: int) -> int:
+    series = SERIES_BUILDERS[name](order)
     payload, lines = _series_payload(name, series)
-    _emit(payload, lines, config.fmt)
+    _emit(payload, lines, fmt)
     return 0
 
 
-def cmd_verify(config: RunConfig, identity: str) -> int:
-    report = identities.verify(identity, config.order)
-    lines = [f"{identity} @ order {config.order}: {report.status}"]
+def cmd_verify(fmt: str, identity: str, order: int) -> int:
+    report = identities.verify(identity, order)
+    lines = [f"{identity} @ order {order}: {report.status}"]
     if report.mismatch is not None:
         m = report.mismatch
         lines.append(f"  first mismatch at exponents {list(m.exponents)}")
         lines.append(f"  lhs: {m.lhs}")
         lines.append(f"  rhs: {m.rhs}")
-    _emit(report.to_dict(), lines, config.fmt)
+    _emit(report.to_dict(), lines, fmt)
     return 0 if report.verified else 1
 
 
-def cmd_oracle(config: RunConfig, target: str) -> int:
-    n = config.n
+def cmd_oracle(fmt: str, target: str, n: int) -> int:
     if target == "matchings":
         census = oracle.enumerate_matchings(n)
-        _emit({"target": target, "n": n, "census": str(census)}, [str(census)], config.fmt)
+        _emit({"target": target, "n": n, "census": str(census)}, [str(census)], fmt)
         return 0
     if target == "wtrees":
         count = oracle.enumerate_w_trees(n)
         formula = 3**n * math.factorial(n) * identities.catalan_number(n)
         payload = {"target": target, "n": n, "count": count, "formula": formula}
-        _emit(payload, [str(count)], config.fmt)
+        _emit(payload, [str(count)], fmt)
         return 0 if count == formula else 1
     census = oracle.enumerate_marked_graphs(n)
     check = oracle.factor_census_check(n)
@@ -173,19 +171,17 @@ def cmd_oracle(config: RunConfig, target: str) -> int:
                 lines.append(
                     f"  n={entry.n} {entry.factor}: census {entry.census} != series {entry.series}"
                 )
-    _emit(payload, lines, config.fmt)
+    _emit(payload, lines, fmt)
     return 0 if check.passed else 1
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        fmt=args.format,
-        order=getattr(args, "order", DEFAULT_ORDER),
-        n=getattr(args, "n", 0),
-    )
+    if args.subcommand == "oracle":
+        noun, name, bound = ORACLE_BOUNDS[args.target]
+        if args.n > bound:
+            parser.error(f"{noun} enumeration supports 0 <= {name} <= {bound}, got {args.n}")
     # Coefficients of any size print: lift Python's int-to-str digit limit
     # (3.10.7 and later; 0 means none) while the command runs.
     limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -193,14 +189,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         if args.subcommand == "hermite":
-            return cmd_hermite(config, args.kind, args.n)
+            return cmd_hermite(args.format, args.kind, args.n)
         if args.subcommand == "expand":
-            return cmd_expand(config, args.series)
+            return cmd_expand(args.format, args.series, args.order)
         if args.subcommand == "verify":
-            return cmd_verify(config, args.identity)
-        return cmd_oracle(config, args.target)
-    except ValueError as exc:
-        parser.error(str(exc))
+            return cmd_verify(args.format, args.identity, args.order)
+        return cmd_oracle(args.format, args.target, args.n)
+    except Exception as exc:
+        print(f"lacunary: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

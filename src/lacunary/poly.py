@@ -1,17 +1,23 @@
-"""Exact sparse polynomials in the commuting formal variables u and x.
+"""Exact sparse polynomials in u and a second commuting variable.
 
 A polynomial is a mapping from exponent pairs ``(deg_u, deg_x)`` to nonzero
 ``Rational`` coefficients; the zero polynomial is the empty mapping.  Values
 are immutable after construction and all operations are pure, so instances
 can be shared freely.
 
+The second slot is the series' grading slot: a homogeneous part of a
+two-variable ``TruncSeries`` in (z, x) is stored as a polynomial in u and
+y = x/z (see ``series``).  Every coefficient the library hands out is a
+polynomial in u alone.
+
 The sparse representation matters: during identity verification at series
-order N the degree in u climbs to 3N+2 while x stays almost always absent,
-so a dense two-variable array would be nearly all zeros.
+order N the degree in u climbs to 3N+2 while the second slot is almost
+always empty, so a dense two-variable array would be nearly all zeros.
 
 Canonical text form (used by the CLI and in reports): terms in descending
-degree of u, then of x, coefficients as exact ``p/q`` fractions, explicit
-``*`` and ``^``, e.g. ``u^3 + 3*u`` or ``1/2*u^2*x - 2``.
+degree of u, then of the second slot (printed as ``x``), coefficients as
+exact ``p/q`` fractions, explicit ``*`` and ``^``, e.g. ``u^3 + 3*u`` or
+``1/2*u^2*x - 2``.
 """
 
 from __future__ import annotations
@@ -57,10 +63,6 @@ class UPolynomial:
     def u(cls, power: int = 1, coeff=1) -> "UPolynomial":
         return cls({(power, 0): coeff})
 
-    @classmethod
-    def x(cls, power: int = 1, coeff=1) -> "UPolynomial":
-        return cls({(0, power): coeff})
-
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Exponent, Rational]]:
@@ -81,10 +83,6 @@ class UPolynomial:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
         return self.coefficient(0, 0)
-
-    def degree_u(self) -> int:
-        """Largest u-exponent present (-1 for the zero polynomial)."""
-        return max((du for du, _ in self._coeffs), default=-1)
 
     def total_degree(self) -> int:
         return max((du + dx for du, dx in self._coeffs), default=-1)
@@ -224,4 +222,3 @@ def _coerce(value) -> UPolynomial:
 POLY_ZERO = UPolynomial.zero()
 POLY_ONE = UPolynomial.one()
 POLY_U = UPolynomial.u()
-POLY_X = UPolynomial.x()

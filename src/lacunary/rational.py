@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction as Rational
 
 RATIONAL_ZERO = Rational(0)
-RATIONAL_ONE = Rational(1)
 
 
 def rational_str(q) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .poly import UPolynomial
+from .poly import POLY_ZERO, UPolynomial
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,10 @@ def compare_series(identity: str, order: int, lhs, rhs) -> IdentityReport:
             f"cannot compare series of shape ({lhs.order}, {lhs.vars}) "
             f"and ({rhs.order}, {rhs.vars})"
         )
-    exponent_set = {e for e, _ in lhs.items()} | {e for e, _ in rhs.items()}
-    for e in sorted(exponent_set, key=lambda t: (sum(t), t)):
-        lp = lhs.coefficient(e)
-        rp = rhs.coefficient(e)
+    left, right = dict(lhs.items()), dict(rhs.items())
+    for e in sorted(left.keys() | right.keys(), key=lambda t: (sum(t), t)):
+        lp = left.get(e, POLY_ZERO)
+        rp = right.get(e, POLY_ZERO)
         if lp != rp:
             return IdentityReport(identity, order, Mismatch(tuple(e), lp, rp))
     return IdentityReport(identity, order)

@@ -1,31 +1,42 @@
 """Truncated formal power series with exact polynomial coefficients.
 
 A ``TruncSeries`` is a polynomial-coefficient series in one or two series
-variables (``z``, optionally a second one), truncated at a fixed total
-order N inclusive: it stores a mapping from exponent tuples of total degree
-<= N to ``UPolynomial`` coefficients.  Every arithmetic result carries
-``order = min`` of the operand orders, and two series are equal only when
-both order and all coefficients agree.  Terms the truncation cannot see are
-unknown, not zero, which is why the order is part of the value.  Building a
-series from raw coefficients embeds them into the truncated ring, so terms
-above the order are simply dropped.
+variables (``z``, optionally a second one, ``x``), truncated at a fixed
+total order N inclusive.  Every arithmetic result carries ``order = min``
+of the operand orders, and two series are equal only when both order and
+all coefficients agree.  Terms the truncation cannot see are unknown, not
+zero, which is why the order is part of the value.  Building a series from
+raw coefficients embeds them into the truncated ring, so terms above the
+order are simply dropped.
+
+Storage is graded by total degree: a series is a sparse mapping from each
+degree d <= N to its nonzero homogeneous part.  Part d is
+sum_b z^(d-b) x^b p_(d-b,b)(u), kept as the polynomial
+sum_b p_(d-b,b)(u) y^b in u and the grading variable y = x/z, which sits in
+the second slot of ``UPolynomial`` with deg_y <= d.  So a two-variable
+series truncated by total degree is a series in one variable, and
+single-variable series never contain y.  The exponent tuples of the paper
+appear only at the boundary: the constructor takes
+``{(a,) or (a, b): polynomial in u}``, and ``coefficient((a, b))`` and
+``items()`` give back the u-polynomial of y^b in part a+b.
 
 Inverse, square root, exp and log are computed by order-by-order coefficient
-recurrences on the homogeneous (total-degree) parts; with exact rationals
-these give the mathematically exact coefficients up to the truncation order.
-Division by the first series variable is deliberately not part of ``/``: it
-is the one operation that loses an order of information, so it is exposed
-as the explicit :meth:`div_z`, which checks divisibility and lowers the
-recorded order by one.
+recurrences on the homogeneous parts; with exact rationals these give the
+mathematically exact coefficients up to the truncation order.  Division by
+the first series variable is deliberately not part of ``/``: it is the one
+operation that loses an order of information, so it is exposed as the
+explicit :meth:`div_z`, which checks divisibility and lowers the recorded
+order by one.  On a part, dividing by z only lowers the degree: the
+polynomial in (u, y) is unchanged, and divisibility means it has no y^d.
 
 Products, in ``*`` and in the recurrences, run on one integer kernel.  Each
 operand (or homogeneous part) is *lifted*: its coefficients become ``int``
 numerators over one denominator, the lcm of their denominators.  The
 multiply-add loop then adds pure ``int`` products into sums keyed by
-(series exponents, polynomial exponents), and each sum is *lowered* once,
-with one gcd, back to a normalized ``Rational``; sums that cancel to zero
-are pruned.  A recurrence step brings its products to a common denominator
-by scaling one operand of each by an integer factor before the loop.
+(degree, (deg_u, deg_y)), and each sum is *lowered* once, with one gcd,
+back to a normalized ``Rational``; sums that cancel to zero are pruned.  A
+recurrence step brings its products to a common denominator by scaling one
+operand of each by an integer factor before the loop.
 
 Instances are immutable and all operations are pure.
 """
@@ -33,7 +44,6 @@ Instances are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
-from operator import add
 from typing import Iterator, Mapping, Sequence, Tuple
 
 from .poly import POLY_ONE, POLY_ZERO, UPolynomial
@@ -48,7 +58,7 @@ DEFAULT_VARS = ("z",)
 class TruncSeries:
     """Immutable truncated power series with UPolynomial coefficients."""
 
-    __slots__ = ("vars", "order", "_coeffs")
+    __slots__ = ("vars", "order", "_parts")
 
     def __init__(
         self,
@@ -61,21 +71,25 @@ class TruncSeries:
         names = tuple(vars)
         if not 1 <= len(names) <= 2:
             raise ValueError(f"series support 1 or 2 variables, got {names}")
-        cleaned: dict[Exponents, UPolynomial] = {}
+        graded: dict[int, dict] = {}
         if coeffs:
             for exps, poly in coeffs.items():
                 e = tuple(exps)
                 if len(e) != len(names) or any(k < 0 for k in e):
                     raise ValueError(f"bad exponent tuple {e} for variables {names}")
-                if sum(e) > order:  # quotient-ring embedding: truncate, don't reject
-                    continue
                 if not isinstance(poly, UPolynomial):
                     poly = UPolynomial.constant(poly)
-                if poly:
-                    cleaned[e] = poly
+                if any(dx for (_, dx), _ in poly.items()):
+                    raise ValueError(f"series coefficients are polynomials in u, got {poly}")
+                d = sum(e)
+                if d > order:  # quotient-ring embedding: truncate, don't reject
+                    continue
+                b = e[1] if len(e) == 2 else 0
+                for (du, _), c in poly.items():
+                    graded.setdefault(d, {})[(du, b)] = c
         self.vars = names
         self.order = order
-        self._coeffs = cleaned
+        self._parts = {d: _make_poly(p) for d, p in graded.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -129,19 +143,27 @@ class TruncSeries:
             raise ValueError(f"negative exponents {e}")
         if sum(e) > self.order:
             raise ValueError(f"exponents {e} beyond truncation order {self.order}")
-        return self._coeffs.get(e, UPolynomial.zero())
+        b = e[1] if len(e) == 2 else 0
+        part = self._parts.get(sum(e), POLY_ZERO)
+        return _make_poly({(du, 0): c for (du, db), c in part.items() if db == b})
 
     def constant_coefficient(self) -> UPolynomial:
-        return self._coeffs.get((0,) * len(self.vars), UPolynomial.zero())
+        return self._parts.get(0, POLY_ZERO)
 
     def items(self) -> Iterator[tuple[Exponents, UPolynomial]]:
-        return iter(self._coeffs.items())
+        """Every nonzero coefficient with its exponent tuple."""
+        for d, part in self._parts.items():
+            slices: dict[int, dict] = {}
+            for (du, b), c in part.items():
+                slices.setdefault(b, {})[(du, 0)] = c
+            for b, coeffs in slices.items():
+                yield (d - b, b)[: len(self.vars)], _make_poly(coeffs)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._parts
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._parts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
@@ -149,11 +171,11 @@ class TruncSeries:
         return (
             self.vars == other.vars
             and self.order == other.order
-            and self._coeffs == other._coeffs
+            and self._parts == other._parts
         )
 
     def __hash__(self):
-        return hash((self.vars, self.order, frozenset(self._coeffs.items())))
+        return hash((self.vars, self.order, frozenset(self._parts.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -167,22 +189,22 @@ class TruncSeries:
         if other is NotImplemented:
             return NotImplemented
         order = self._check_compatible(other)
-        out = {e: p for e, p in self._coeffs.items() if sum(e) <= order}
-        for e, p in other._coeffs.items():
-            if sum(e) > order:
+        out = {d: p for d, p in self._parts.items() if d <= order}
+        for d, p in other._parts.items():
+            if d > order:
                 continue
-            s = out.get(e)
+            s = out.get(d)
             s = p if s is None else s + p
             if s:
-                out[e] = s
+                out[d] = s
             else:
-                out.pop(e, None)
+                out.pop(d, None)
         return _make(order, out, self.vars)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncSeries":
-        return _make(self.order, {e: -p for e, p in self._coeffs.items()}, self.vars)
+        return _make(self.order, {d: -p for d, p in self._parts.items()}, self.vars)
 
     def __sub__(self, other) -> "TruncSeries":
         other = self._coerce(other)
@@ -201,8 +223,8 @@ class TruncSeries:
         if other is NotImplemented:
             return NotImplemented
         order = self._check_compatible(other)
-        den_a, terms_a = _lift(self._coeffs)
-        den_b, terms_b = _lift(other._coeffs)
+        den_a, terms_a = _lift(self._parts)
+        den_b, terms_b = _lift(other._parts)
         acc: dict = {}
         _mul_add(acc, terms_a, terms_b, order)
         return _make(order, _lower(acc, den_a * den_b), self.vars)
@@ -241,9 +263,7 @@ class TruncSeries:
         """The same series at a lower (or equal) truncation order."""
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return _make(
-            order, {e: p for e, p in self._coeffs.items() if sum(e) <= order}, self.vars
-        )
+        return _make(order, {d: p for d, p in self._parts.items() if d <= order}, self.vars)
 
     def div_z(self) -> "TruncSeries":
         """Exact division by the first series variable.
@@ -254,39 +274,32 @@ class TruncSeries:
         """
         if self.order == 0:
             raise ValueError("cannot divide by the series variable at order 0")
-        bad = [e for e in self._coeffs if e[0] == 0]
+        bad = [d for d, p in self._parts.items() if any(db == d for (_, db), _ in p.items())]
         if bad:
-            raise ValueError(
-                f"series not divisible by {self.vars[0]}: nonzero coefficient at {sorted(bad)[0]}"
-            )
-        out = {(e[0] - 1,) + e[1:]: p for e, p in self._coeffs.items()}
-        return _make(self.order - 1, {e: p for e, p in out.items() if sum(e) <= self.order - 1}, self.vars)
+            e = (0, min(bad))[: len(self.vars)]
+            raise ValueError(f"series not divisible by {self.vars[0]}: nonzero coefficient at {e}")
+        return _make(self.order - 1, {d - 1: p for d, p in self._parts.items()}, self.vars)
 
-    def map_coefficients(self, fn) -> "TruncSeries":
-        """Apply ``fn`` to every polynomial coefficient (zeros pruned)."""
-        out = {}
-        for e, p in self._coeffs.items():
-            q = fn(p)
-            if q:
-                out[e] = q
-        return _make(self.order, out, self.vars)
+    def diff_u(self) -> "TruncSeries":
+        """Formal derivative of every coefficient with respect to u."""
+        out = {d: p.diff_u() for d, p in self._parts.items()}
+        return _make(self.order, {d: p for d, p in out.items() if p}, self.vars)
 
     # -- analytic-style operations -----------------------------------------
 
     def _lifted_parts(self) -> list:
-        """Coefficients grouped by homogeneous total degree 0..order, each lifted."""
-        parts: list[dict[Exponents, UPolynomial]] = [{} for _ in range(self.order + 1)]
-        for e, p in self._coeffs.items():
-            parts[sum(e)][e] = p
-        return [_lift(part) for part in parts]
+        """The homogeneous parts of degree 0..order, each lifted."""
+        return [
+            _lift({d: self._parts[d]} if d in self._parts else {})
+            for d in range(self.order + 1)
+        ]
 
     def _recurrence(self, first: UPolynomial, step) -> "TruncSeries":
         """Homogeneous parts 0..order: part 0 is ``first`` and part d is
         ``scale * sum(weight * x * y)`` for ``(products, scale) = step(d, parts)``,
         where ``parts`` holds the lifted parts 0..d-1."""
-        zero = (0,) * len(self.vars)
-        parts = [{zero: first} if first else {}]
-        lifted = [_lift(parts[0])]
+        parts = {0: first} if first else {}
+        lifted = [_lift(parts)]
         for d in range(1, self.order + 1):
             products, scale = step(d, lifted)
             products = [(w, x, y) for w, x, y in products if x[1] and y[1]]
@@ -294,10 +307,11 @@ class TruncSeries:
             acc: dict = {}
             for w, (den_x, xs), (den_y, ys) in products:
                 f = w * (den // (den_x * den_y))
-                _mul_add(acc, [(e, [(du, dx, c * f) for du, dx, c in p]) for e, p in xs], ys, d)
-            parts.append(_lower(acc, den, scale))
-            lifted.append(_lift(parts[-1]))
-        return _from_parts(self.order, parts, self.vars)
+                _mul_add(acc, [(k, [(du, dy, c * f) for du, dy, c in p]) for k, p in xs], ys, d)
+            part = _lower(acc, den, scale)
+            parts.update(part)
+            lifted.append(_lift(part))
+        return _make(self.order, parts, self.vars)
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; the constant coefficient must be a nonzero scalar."""
@@ -315,7 +329,7 @@ class TruncSeries:
         """Square root with constant term 1; requires constant coefficient 1."""
         self._require_constant_one("sqrt")
         a = self._lifted_parts()
-        one = _lift({(0,) * len(self.vars): POLY_ONE})
+        one = _lift({0: POLY_ONE})
         return self._recurrence(
             POLY_ONE,
             lambda d, b: (
@@ -338,7 +352,7 @@ class TruncSeries:
         """Logarithm of a series with constant coefficient 1 (log has constant 0)."""
         self._require_constant_one("log")
         a = self._lifted_parts()
-        one = _lift({(0,) * len(self.vars): POLY_ONE})
+        one = _lift({0: POLY_ONE})
         return self._recurrence(
             POLY_ZERO,
             lambda d, g: (
@@ -355,10 +369,6 @@ class TruncSeries:
 
     # -- rendering ----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponents, UPolynomial]]:
-        """Terms sorted by total degree, then lexicographically by exponents."""
-        return sorted(self._coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
-
     def monomial_str(self, exponents: Exponents) -> str:
         parts = [
             f"{name}^{k}" if k != 1 else name
@@ -368,11 +378,11 @@ class TruncSeries:
         return "*".join(parts) if parts else "1"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._parts:
             return f"O({self.vars[0]}^{self.order + 1})"
         terms = [
             f"({p})*{self.monomial_str(e)}" if any(e) else f"({p})"
-            for e, p in self.sorted_terms()
+            for e, p in sorted(self.items(), key=lambda item: (sum(item[0]), item[0]))
         ]
         return " + ".join(terms) + f" + O(total^{self.order + 1})"
 
@@ -380,54 +390,46 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, vars={self.vars}, {self})"
 
 
-def _make(order, coeffs, vars) -> TruncSeries:
+def _make(order, parts, vars) -> TruncSeries:
     s = TruncSeries.__new__(TruncSeries)
     s.vars = vars
     s.order = order
-    s._coeffs = coeffs
+    s._parts = parts
     return s
 
 
-def _from_parts(order, parts, vars) -> TruncSeries:
-    coeffs: dict[Exponents, UPolynomial] = {}
-    for part in parts:
-        coeffs.update(part)
-    return _make(order, coeffs, vars)
-
-
 # -- the integer kernel ----------------------------------------------------------
-# A lifted group is (den, [(exponents, [(deg_u, deg_x, numerator)])]).
+# A lifted group is (den, [(degree, [(deg_u, deg_y, numerator)])]).
 
 
-def _lift(coeffs: Mapping[Exponents, UPolynomial]):
-    """The terms of ``coeffs`` as int numerators over one common denominator."""
-    den = math.lcm(*(c.denominator for p in coeffs.values() for _, c in p.items()))
+def _lift(parts: Mapping[int, UPolynomial]):
+    """The terms of ``parts`` as int numerators over one common denominator."""
+    den = math.lcm(*(c.denominator for p in parts.values() for _, c in p.items()))
     return den, [
-        (e, [(du, dx, c.numerator * (den // c.denominator)) for (du, dx), c in p.items()])
-        for e, p in coeffs.items()
+        (d, [(du, dy, c.numerator * (den // c.denominator)) for (du, dy), c in p.items()])
+        for d, p in parts.items()
     ]
 
 
 def _mul_add(acc, terms_a, terms_b, order) -> None:
-    """acc[exponents][(deg_u, deg_x)] += a * b over lifted terms of total degree <= order."""
-    for ea, pa in terms_a:
-        for eb, pb in terms_b:
-            e = tuple(map(add, ea, eb))
-            if sum(e) > order:
+    """acc[degree][(deg_u, deg_y)] += a * b over lifted terms of degree <= order."""
+    for da, pa in terms_a:
+        for db, pb in terms_b:
+            if da + db > order:
                 continue
-            sums = acc.setdefault(e, {})
-            for au, ax, ca in pa:
-                for bu, bx, cb in pb:
-                    k = (au + bu, ax + bx)
+            sums = acc.setdefault(da + db, {})
+            for au, ay, ca in pa:
+                for bu, by, cb in pb:
+                    k = (au + bu, ay + by)
                     sums[k] = sums.get(k, 0) + ca * cb
 
 
-def _lower(acc, den: int, scale=1) -> dict[Exponents, UPolynomial]:
+def _lower(acc, den: int, scale=1) -> dict[int, UPolynomial]:
     """The accumulated sums times ``scale / den`` as normalized polynomials, zeros pruned."""
     num, den = scale.numerator, den * scale.denominator
     out = {}
-    for e, sums in acc.items():
+    for d, sums in acc.items():
         coeffs = {k: Rational(n * num, den) for k, n in sums.items() if n}
         if coeffs:
-            out[e] = _make_poly(coeffs)
+            out[d] = _make_poly(coeffs)
     return out

@@ -97,9 +97,6 @@ class MExpression:
             raise ValueError(f"M-degree {mdeg} outside bound {self.mdeg_bound}")
         return self._coeffs.get(mdeg, TruncSeries.zero(self.order, self.vars))
 
-    def mdegrees(self):
-        return sorted(self._coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MExpression):
             return NotImplemented

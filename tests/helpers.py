@@ -35,7 +35,7 @@ def random_series(rng, order=4, vars=("z",), max_terms=5) -> TruncSeries:
     coeffs = {}
     for _ in range(rng.randint(0, max_terms)):
         exps = _random_exponents(rng, order, len(vars))
-        coeffs[exps] = random_poly(rng, max_deg_u=3, max_deg_x=0 if len(vars) == 1 else 2)
+        coeffs[exps] = random_poly(rng, max_deg_u=3, max_deg_x=0)
     return TruncSeries(order, coeffs, vars)
 
 

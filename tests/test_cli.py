@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lacunary import cli
+from lacunary import cli, umbral
 from lacunary.poly import UPolynomial
 from lacunary.report import IdentityReport, Mismatch
 from lacunary.series import TruncSeries
@@ -111,6 +111,52 @@ def test_routes_identity_catches_a_wrong_factor(capsys, monkeypatch, builder, id
     code, out = run_cli(capsys, "verify", identity, "--order", "6")
     assert code == 1
     assert out.startswith(f"{identity} @ order 6: mismatch\n  first mismatch at exponents [3]\n")
+
+
+def test_two_variable_mismatch_reports_exponent_tuples(capsys, monkeypatch):
+    """A (z, x) mismatch names its exponents as [deg_z, deg_x] with u-only sides."""
+    exact = umbral.compare_series
+
+    def perturbed(name, order, lhs, rhs):
+        bump = TruncSeries(order, {(1, 2): UPolynomial.u(), (2, 1): UPolynomial.u(2, 5)}, rhs.vars)
+        return exact(name, order, lhs, rhs + bump)
+
+    monkeypatch.setattr(umbral, "compare_series", perturbed)
+    code, out = run_cli(capsys, "--format", "json", "verify", "lemma-fm-i", "--order", "4")
+    assert code == 1
+    assert json.loads(out)["mismatch"] == {"exponents": [1, 2], "lhs": "0", "rhs": "u"}
+    code, out = run_cli(capsys, "verify", "lemma-fm-i", "--order", "4")
+    assert code == 1
+    assert out == "lemma-fm-i @ order 4: mismatch\n  first mismatch at exponents [1, 2]\n  lhs: 0\n  rhs: u\n"
+
+
+@pytest.mark.parametrize("error", [ValueError, AssertionError])
+def test_internal_errors_exit_3(capsys, monkeypatch, error):
+    def broken(name, order):
+        raise error("broken builder")
+
+    monkeypatch.setattr(cli.identities, "verify", broken)
+    code = cli.main(["verify", "main", "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"lacunary: internal error: {error.__name__}: broken builder\n"
+
+
+@pytest.mark.parametrize(
+    "target, n, enumerator",
+    [
+        ("matchings", 15, "enumerate_matchings"),
+        ("wtrees", 6, "enumerate_w_trees"),
+        ("graphs", 5, "enumerate_marked_graphs"),
+    ],
+)
+def test_oracle_bounds_checked_before_running(capsys, monkeypatch, target, n, enumerator):
+    monkeypatch.setattr(cli.oracle, enumerator, lambda n: pytest.fail("enumeration ran"))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["oracle", target, "--n", str(n)])
+    assert err.value.code == 2
+    assert f"<= {n - 1}, got {n}" in capsys.readouterr().err
 
 
 def test_verify_usage_errors(capsys):

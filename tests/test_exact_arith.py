@@ -8,7 +8,7 @@ from lacunary.rational import Rational, rational_str
 from helpers import check_diff_u_rules, check_poly_ring_axioms, check_rational_roundtrip
 
 U = UPolynomial.u()
-X = UPolynomial.x()
+X = UPolynomial({(0, 1): 1})
 ONE = UPolynomial.one()
 
 

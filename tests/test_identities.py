@@ -87,7 +87,7 @@ def test_tree_gf_routes_and_values():
 
 def test_tree_gf_derivative_is_w_minus_u():
     order = 8
-    derivative = tree_gf(order).map_coefficients(UPolynomial.diff_u).truncated(order - 1)
+    derivative = tree_gf(order).diff_u().truncated(order - 1)
     w_minus_u = (w_series(order) - TruncSeries.from_poly(UPolynomial.u(), order)).truncated(
         order - 1
     )

@@ -14,6 +14,7 @@ from helpers import (
     check_series_ring_axioms,
     check_truncation_consistency,
     make_rng,
+    random_poly,
     random_series,
     random_zero_constant_series,
 )
@@ -193,6 +194,46 @@ def test_div_z_requires_divisibility():
         two_var.div_z()
 
 
+def test_div_z_rejects_a_pure_x_term():
+    vars = ("z", "x")
+    divisible = TruncSeries(3, {(1, 0): UPolynomial.one(), (1, 1): UPolynomial.u()}, vars)
+    assert divisible.div_z() == TruncSeries(
+        2, {(0, 0): UPolynomial.one(), (0, 1): UPolynomial.u()}, vars
+    )
+    pure_x = divisible + TruncSeries(3, {(0, 2): UPolynomial.u()}, vars)
+    with pytest.raises(ValueError, match=r"at \(0, 2\)"):
+        pure_x.div_z()
+
+
+def test_coefficient_using_the_second_slot_rejected():
+    second_slot = UPolynomial({(1, 1): 1})
+    with pytest.raises(ValueError):
+        TruncSeries(3, {(1,): second_slot})
+    with pytest.raises(ValueError):
+        TruncSeries(3, {(1, 0): second_slot}, ("z", "x"))
+    with pytest.raises(ValueError):
+        TruncSeries.from_poly(second_slot, 3) + one(3)
+
+
+def test_items_and_coefficient_roundtrip_randomized():
+    """items() gives back what the constructor took, exponent tuple by tuple."""
+    rng = make_rng(102)
+    for trial in range(100):
+        vars = ("z", "x") if trial % 4 else ("z",)
+        order = rng.randint(0, 5)
+        coeffs = {}
+        for _ in range(rng.randint(0, 8)):
+            a = rng.randint(0, order)
+            e = (a, rng.randint(0, order - a)) if len(vars) == 2 else (a,)
+            coeffs[e] = random_poly(rng, max_deg_u=3, max_deg_x=0)
+        s = TruncSeries(order, coeffs, vars)
+        assert TruncSeries(s.order, dict(s.items()), s.vars) == s
+        assert {e: p for e, p in coeffs.items() if p} == dict(s.items())
+        for a in range(order + 1):
+            for e in [(a, b) for b in range(order - a + 1)] if len(vars) == 2 else [(a,)]:
+                assert s.coefficient(e) == coeffs.get(e, UPolynomial.zero())
+
+
 def test_div_z_requires_positive_order():
     with pytest.raises(ValueError):
         TruncSeries.zero(0).div_z()
@@ -323,7 +364,11 @@ def kernel_cases():
     yield one(3) + z(3), one(3) - z(3)
     yield TruncSeries.zero(4), random_series(rng, 4)
     yield TruncSeries.zero(2, ("z", "x")), TruncSeries.zero(2, ("z", "x"))
-    mixed = TruncSeries(3, {(1,): UPolynomial({(0, 0): Rational(-7, 12), (2, 1): Rational(5, 18)})})
+    mixed = TruncSeries(
+        3,
+        {(1, 0): UPolynomial.constant(Rational(-7, 12)), (0, 1): UPolynomial.u(2, Rational(5, 18))},
+        ("z", "x"),
+    )
     yield mixed, mixed * Rational(-3, 35)
 
 
