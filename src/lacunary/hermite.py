@@ -4,8 +4,9 @@
 function e^(u*z + z^2/2): h_n(u) sums u^(#unmatched) over all matchings of
 an n-set, so every coefficient is a nonnegative integer.  ``hermite_H`` is
 the physicists' normalization with generating function e^(2*u*z - z^2).
-Both come from one iterative three-term recurrence whose constants differ;
-the generating-function and brute-force-enumeration cross-checks live in
+Both come from one iterative three-term recurrence on ``int`` coefficient
+lists, ``hermite_coefficients`` (both kinds have integer coefficients), and
+``hermite`` makes a ``UPolynomial`` of one list; the cross-checks live in
 the test suite.
 
 ``m_moment`` is the moment sequence (2k)!/(2^k k!) on even indices and 0 on
@@ -26,8 +27,7 @@ import math
 from collections.abc import Iterator
 from itertools import count, islice
 
-from .poly import POLY_ONE, POLY_ZERO, UPolynomial
-from .rational import Rational
+from .poly import UPolynomial
 
 
 class HermiteKind(enum.Enum):
@@ -41,20 +41,23 @@ class HermiteKind(enum.Enum):
 _RECURRENCE = {HermiteKind.PROBABILIST: (1, 1), HermiteKind.PHYSICIST: (2, -2)}
 
 
-def hermite_polynomials(kind: HermiteKind) -> Iterator[UPolynomial]:
-    """P_0, P_1, P_2, ... of one normalization, each from the two before it."""
+def hermite_coefficients(kind: HermiteKind) -> Iterator[list[int]]:
+    """P_0, P_1, ... of one kind as coefficient lists indexed by degree in u."""
     c, d = _RECURRENCE[kind]
-    cu = UPolynomial.u(coeff=c)
-    previous, current = POLY_ZERO, POLY_ONE
+    previous, current = [], [1]
     for k in count():
         yield current
-        previous, current = current, cu * current + (d * k) * previous
+        following = [0] + [c * a for a in current]
+        for i, a in enumerate(previous):
+            following[i] += d * k * a
+        previous, current = current, following
 
 
 def hermite(kind: HermiteKind, n: int) -> UPolynomial:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return next(islice(hermite_polynomials(kind), n, None))
+    coeffs = next(islice(hermite_coefficients(kind), n, None))
+    return UPolynomial({(i, 0): a for i, a in enumerate(coeffs) if a})
 
 
 def hermite_h(n: int) -> UPolynomial:
@@ -79,13 +82,10 @@ def m_moment(n: int) -> int:
 
 def normalization_relation_check(n: int) -> bool:
     """Coefficient-wise rational form of the h/H rescaling; True iff it holds at n."""
-    h = hermite_h(n)
-    H = hermite_H(n)
-    degrees = {e[0] for e, _ in h.items()} | {e[0] for e, _ in H.items()}
-    for d in degrees:
-        if (n - d) % 2:  # a term of the wrong parity would break the relation
-            return False
-        k = (n - d) // 2
-        if H.coefficient(d) != (-1) ** k * Rational(2) ** (n - k) * h.coefficient(d):
+    h = next(islice(hermite_coefficients(HermiteKind.PROBABILIST), n, None))
+    H = next(islice(hermite_coefficients(HermiteKind.PHYSICIST), n, None))
+    for d, (a, b) in enumerate(zip(h, H)):
+        k, odd = divmod(n - d, 2)  # a term of the wrong parity breaks the relation
+        if (a or b) and (odd or b != (-1) ** k * 2 ** (n - k) * a):
             return False
     return True

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .hermite import HermiteKind, hermite_polynomials
+from .hermite import HermiteKind, hermite_coefficients
 from .poly import POLY_U, UPolynomial
 from .rational import Rational
 from .report import IdentityReport, Mismatch, compare_series
@@ -90,8 +90,12 @@ def lhs_lacunary(stride: int, order: int) -> TruncSeries:
     """sum_{n<=order} h_{stride*n}(u) z^n / n! for stride 2 or 3."""
     if stride not in (2, 3):
         raise ValueError(f"stride must be 2 or 3, got {stride}")
-    h = islice(hermite_polynomials(HermiteKind.PROBABILIST), 0, stride * order + 1, stride)
-    return TruncSeries(order, {(n,): p / math.factorial(n) for n, p in enumerate(h)})
+    h = islice(hermite_coefficients(HermiteKind.PROBABILIST), 0, stride * order + 1, stride)
+    coeffs = {}
+    for n, h_n in enumerate(h):
+        scale = math.factorial(n)
+        coeffs[(n,)] = UPolynomial({(i, 0): Rational(a, scale) for i, a in enumerate(h_n) if a})
+    return TruncSeries(order, coeffs)
 
 
 def rhs_doetsch(order: int) -> TruncSeries:

@@ -16,7 +16,10 @@ multigraph on the n vertices (a pair within one vertex is a loop, and loops
 count as cycles); unmatched slots are u-weighted leaves that never affect
 connectivity.  Components are classified by their cyclomatic number
 edges - vertices + 1: zero for trees, one for unicyclic components, two or
-more for the rest.
+more for the rest.  ``enumerate_marked_graphs`` visits each matching once, in
+``iter_matchings`` order, by one depth-first walk over the slots that updates
+a component name per vertex and a cyclomatic number per component in place
+and undoes them on return; ``MarkedGraph.component_profile`` is its oracle.
 
 w-trees.  A w-tree is a rooted tree whose internal vertices are labeled and
 trivalent with half-edges marked a/b/c, whose leaves are unlabeled, and
@@ -32,13 +35,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, Tuple
 
 from . import identities
 from .hermite import hermite_h
-from .poly import UPolynomial
+from .poly import POLY_ZERO, UPolynomial
 
 MATCHING_BOUND = 14
 W_TREE_BOUND = 5
@@ -192,19 +196,48 @@ def enumerate_marked_graphs(n: int) -> ComponentCensus:
         raise ValueError(
             f"marked-graph enumeration supports 0 <= n <= {MARKED_GRAPH_BOUND}, got {n}"
         )
-    counts: Dict[Tuple[int, int, int], Dict[int, int]] = {}
-    for pairs in iter_matchings(tuple(range(3 * n))):
-        profile = _component_profile(n, pairs)
-        fixed = 3 * n - 2 * len(pairs)
-        per_fixed = counts.setdefault(profile, {})
-        per_fixed[fixed] = per_fixed.get(fixed, 0) + 1
-    return ComponentCensus(
-        n,
-        {
-            profile: UPolynomial({(f, 0): c for f, c in per_fixed.items()})
-            for profile, per_fixed in counts.items()
-        },
-    )
+    slots = 3 * n
+    used = [False] * slots
+    label = list(range(n))  # each vertex's component, named by one of its vertices
+    cycles = [0] * n  # cyclomatic number, kept at each component's name
+    counts: Counter = Counter()  # (profile, #fixed slots) -> graphs
+
+    def walk(s: int, fixed: int) -> None:
+        while s < slots and used[s]:
+            s += 1
+        if s == slots:
+            profile = [0, 0, 0]
+            for v in range(n):
+                if label[v] == v:
+                    profile[min(cycles[v], 2)] += 1
+            counts[tuple(profile), fixed] += 1
+            return
+        used[s] = True
+        walk(s + 1, fixed + 1)  # s stays unmatched
+        a = label[s // 3]
+        for t in range(s + 1, slots):
+            if used[t]:
+                continue
+            used[t] = True
+            b = label[t // 3]
+            # an edge inside a component closes a cycle; a bridge adds b's cycles to a's
+            moved = [v for v in range(n) if label[v] == b] if b != a else []
+            gained = cycles[b] if moved else 1
+            for v in moved:
+                label[v] = a
+            cycles[a] += gained
+            walk(s + 1, fixed)
+            cycles[a] -= gained
+            for v in moved:
+                label[v] = b
+            used[t] = False
+        used[s] = False
+
+    walk(0, 0)
+    by_profile: Dict[Tuple[int, int, int], UPolynomial] = {}
+    for (profile, fixed), c in counts.items():
+        by_profile[profile] = by_profile.get(profile, POLY_ZERO) + UPolynomial.u(fixed, c)
+    return ComponentCensus(n, by_profile)
 
 
 # -- w-trees --------------------------------------------------------------------

@@ -71,13 +71,26 @@ def test_h_matches_matching_enumeration():
 
 def test_h_coefficient_closed_form():
     # coefficient of u^(n-2k) is n! / (2^k k! (n-2k)!)
-    for n in range(11):
-        p = hermite_h(n)
-        for k in range(n // 2 + 1):
-            expected = math.factorial(n) // (
-                2**k * math.factorial(k) * math.factorial(n - 2 * k)
-            )
-            assert p.coefficient(n - 2 * k) == expected
+    for n in range(101):
+        expected = {
+            (n - 2 * k, 0): math.factorial(n)
+            // (2**k * math.factorial(k) * math.factorial(n - 2 * k))
+            for k in range(n // 2 + 1)
+        }
+        assert hermite_h(n) == UPolynomial(expected)
+
+
+def test_H_coefficient_closed_form():
+    # H_n = sum_k (-1)^k n! / (k! (n-2k)!) (2u)^(n-2k)
+    for n in range(101):
+        expected = {
+            (n - 2 * k, 0): (-1) ** k
+            * math.factorial(n)
+            // (math.factorial(k) * math.factorial(n - 2 * k))
+            * 2 ** (n - 2 * k)
+            for k in range(n // 2 + 1)
+        }
+        assert hermite_H(n) == UPolynomial(expected)
 
 
 def test_m_moment_values():

@@ -61,6 +61,10 @@ def test_lhs_lacunary():
     assert lhs3.coefficient((2,)) == hermite_h(6) / 2
     lhs2 = lhs_lacunary(2, 2)
     assert lhs2.coefficient((1,)) == hermite_h(2)
+    for stride in (2, 3):
+        for order in (0, 1, 2, 7):
+            expected = {(n,): hermite_h(stride * n) / math.factorial(n) for n in range(order + 1)}
+            assert lhs_lacunary(stride, order) == TruncSeries(order, expected)
     with pytest.raises(ValueError):
         lhs_lacunary(4, 3)
 

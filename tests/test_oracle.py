@@ -2,7 +2,6 @@
 
 import math
 
-import networkx as nx
 import pytest
 
 from lacunary.hermite import hermite_h
@@ -134,6 +133,7 @@ def test_census_totals_match_hermite():
 
 
 def test_component_profile_against_networkx():
+    nx = pytest.importorskip("networkx")
     for graph in iter_marked_graphs(3):
         multigraph = nx.MultiGraph()
         multigraph.add_nodes_from(range(3))
@@ -149,13 +149,40 @@ def test_component_profile_against_networkx():
 
 
 def test_census_independent_of_enumeration_order():
-    census = enumerate_marked_graphs(2)
-    reversed_counts = {}
-    for graph in reversed(list(iter_marked_graphs(2))):
-        profile = graph.component_profile()
-        poly = UPolynomial.u(power=graph.weight_exponent())
-        reversed_counts[profile] = reversed_counts.get(profile, UPolynomial.zero()) + poly
-    assert reversed_counts == census.by_profile
+    # each graph classified on its own by its union-find, in reverse order
+    for n in range(4):
+        reversed_counts = {}
+        for graph in reversed(list(iter_marked_graphs(n))):
+            profile = graph.component_profile()
+            poly = UPolynomial.u(power=graph.weight_exponent())
+            reversed_counts[profile] = reversed_counts.get(profile, UPolynomial.zero()) + poly
+        assert reversed_counts == enumerate_marked_graphs(n).by_profile
+
+
+def test_census_n4_by_profile():
+    assert enumerate_marked_graphs(4).to_dict() == {
+        "0,0,1": "48600*u^2 + 9720",
+        "0,0,2": "675",
+        "0,1,0": "31104*u^4",
+        "0,1,1": "12960*u^2",
+        "0,2,0": "14256*u^4",
+        "0,2,1": "810*u^2",
+        "0,3,0": "1944*u^4",
+        "0,4,0": "81*u^4",
+        "1,0,0": "4536*u^6",
+        "1,0,1": "4050*u^4",
+        "1,1,0": "7344*u^6",
+        "1,1,1": "540*u^4",
+        "1,2,0": "1782*u^6",
+        "1,3,0": "108*u^6",
+        "2,0,0": "891*u^8",
+        "2,0,1": "90*u^6",
+        "2,1,0": "540*u^8",
+        "2,2,0": "54*u^8",
+        "3,0,0": "54*u^10",
+        "3,1,0": "12*u^10",
+        "4,0,0": "u^12",
+    }
 
 
 def test_factor_census_check_passes():
