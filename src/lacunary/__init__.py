@@ -5,7 +5,6 @@ combinatorial enumeration cross-checking one another.
 
 from .hermite import (
     HermiteKind,
-    hermite,
     hermite_H,
     hermite_h,
     m_moment,
@@ -63,7 +62,6 @@ __all__ = [
     "exp_of_linear_M",
     "exp_of_m_power",
     "factor_census_check",
-    "hermite",
     "hermite_H",
     "hermite_h",
     "hypergeom_form_check",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Tuple
 
-from .rational import RATIONAL_ZERO, Rational, rational_str
+from .rational import Rational, rational_str
 
 Exponent = Tuple[int, int]  # (deg_u, deg_x)
 
@@ -101,7 +101,7 @@ class UPolynomial:
             return NotImplemented
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            s = out.get(e, RATIONAL_ZERO) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -214,7 +214,7 @@ def _make(coeffs: dict[Exponent, Rational]) -> UPolynomial:
 def _coerce(value) -> UPolynomial:
     if isinstance(value, UPolynomial):
         return value
-    if isinstance(value, (int, type(RATIONAL_ZERO))):
+    if isinstance(value, (int, Rational)):
         return UPolynomial.constant(value)
     return NotImplemented
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction as Rational
 
-RATIONAL_ZERO = Rational(0)
-
 
 def rational_str(q) -> str:
     """Render ``q`` as ``p`` or ``p/q`` (lowest terms, no decimals)."""

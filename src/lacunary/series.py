@@ -48,7 +48,7 @@ from typing import Iterator, Mapping, Sequence, Tuple
 
 from .poly import POLY_ONE, POLY_ZERO, UPolynomial
 from .poly import _make as _make_poly
-from .rational import RATIONAL_ZERO, Rational
+from .rational import Rational
 
 Exponents = Tuple[int, ...]
 
@@ -253,7 +253,7 @@ class TruncSeries:
             return value
         if isinstance(value, UPolynomial):
             return TruncSeries.from_poly(value, self.order, self.vars)
-        if isinstance(value, (int, type(RATIONAL_ZERO))):
+        if isinstance(value, (int, Rational)):
             return TruncSeries.from_poly(UPolynomial.constant(value), self.order, self.vars)
         return NotImplemented
 

@@ -1,22 +1,16 @@
 """Polynomials in the umbra M and the moment-substitution functional.
 
 An ``MExpression`` maps M-degrees to ``TruncSeries`` coefficients that all
-share one truncation order and variable set.  ``umbral_eval`` is the linear
-functional replacing M^n by the perfect-matching moment ``m_moment(n)``;
-odd degrees vanish.
+share one truncation order and variable set; it stores only the nonzero
+ones, so its M-degrees are exactly those of its nonzero coefficients.
+``umbral_eval`` is the linear functional replacing M^n by the
+perfect-matching moment ``m_moment(n)``; odd degrees vanish.
 
-Truncation in the M-degree is sound, never heuristic: an expression carries
-an explicit ``mdeg_bound``, and any operation that would need to store a
-NONZERO coefficient above the bound raises instead of dropping it.  The
-exponential constructors rely on their argument having zero constant term,
-so the coefficient of M^(p*d) is a series of total degree >= d; with the
-default bound 3*order (each M is paired with at least a third of a series
-power, the worst case being cubes of M against single powers) every
-coefficient beyond the bound is already zero in the truncated series ring,
-and construction succeeds.  Passing a too-small bound fails loudly.
-
-Products add the operands' bounds, which over-counts but never discards,
-keeping polynomial arithmetic in M exact.
+Nothing is truncated in M.  Sums and products keep every nonzero
+coefficient, and ``umbral_eval`` sums them all.  The exponential
+constructors stop by themselves: their argument s must have zero constant
+term, so s^d has total degree >= d and vanishes in the truncated series
+ring once d exceeds the order.
 """
 
 from __future__ import annotations
@@ -25,77 +19,56 @@ import math
 from typing import Mapping
 
 from .hermite import m_moment
-from .poly import UPolynomial
-from .rational import RATIONAL_ZERO, Rational
+from .rational import Rational
 from .report import IdentityReport, compare_series
 from .series import TruncSeries
 
 
-def default_mdeg_bound(order: int) -> int:
-    """M-degree bound that makes truncation lossless at this series order."""
-    return 3 * order
-
-
 class MExpression:
-    """Immutable polynomial in the umbra M with TruncSeries coefficients."""
+    """Immutable polynomial in the umbra M with TruncSeries coefficients.
 
-    __slots__ = ("order", "vars", "mdeg_bound", "_coeffs")
+    ``order`` and ``vars`` come from the coefficients given, zero ones
+    included, so a zero expression is ``MExpression({0: zero_series})``.
+    """
 
-    def __init__(self, coeffs: Mapping[int, TruncSeries], mdeg_bound: int):
-        if mdeg_bound < 0:
-            raise ValueError(f"mdeg_bound must be >= 0, got {mdeg_bound}")
+    __slots__ = ("order", "vars", "_coeffs")
+
+    def __init__(self, coeffs: Mapping[int, TruncSeries]):
+        if not coeffs:
+            raise ValueError("need at least one coefficient")
         cleaned: dict[int, TruncSeries] = {}
         order = vars = None
         for d, series in coeffs.items():
             if d < 0:
                 raise ValueError(f"negative M-degree {d}")
-            if series.is_zero():
-                continue
-            if d > mdeg_bound:
-                raise ValueError(
-                    f"nonzero coefficient at M^{d} exceeds mdeg_bound {mdeg_bound}"
-                )
             if order is None:
                 order, vars = series.order, series.vars
             elif (series.order, series.vars) != (order, vars):
                 raise ValueError("all M-coefficients must share order and variables")
-            cleaned[d] = series
-        if order is None:
-            raise ValueError(
-                "need at least one nonzero coefficient; use from_series for zero"
-            )
+            if series:
+                cleaned[d] = series
         self.order = order
         self.vars = vars
-        self.mdeg_bound = mdeg_bound
         self._coeffs = cleaned
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_series(cls, series: TruncSeries, mdeg_bound: int = 0) -> "MExpression":
+    def from_series(cls, series: TruncSeries) -> "MExpression":
         """Embed an ordinary series as the M-degree-0 part."""
-        return cls({0: series}, mdeg_bound) if series else cls._empty(series, mdeg_bound)
+        return cls({0: series})
 
     @classmethod
-    def umbra(cls, order: int, vars=("z",), mdeg_bound: int = 1) -> "MExpression":
+    def umbra(cls, order: int, vars=("z",)) -> "MExpression":
         """The bare umbra M."""
-        return cls({1: TruncSeries.one(order, vars)}, mdeg_bound)
-
-    @classmethod
-    def _empty(cls, template: TruncSeries, mdeg_bound: int) -> "MExpression":
-        expr = cls.__new__(cls)
-        expr.order = template.order
-        expr.vars = template.vars
-        expr.mdeg_bound = mdeg_bound
-        expr._coeffs = {}
-        return expr
+        return cls({1: TruncSeries.one(order, vars)})
 
     # -- inspection ----------------------------------------------------------
 
     def coefficient(self, mdeg: int) -> TruncSeries:
-        if mdeg < 0 or mdeg > self.mdeg_bound:
-            raise ValueError(f"M-degree {mdeg} outside bound {self.mdeg_bound}")
-        return self._coeffs.get(mdeg, TruncSeries.zero(self.order, self.vars))
+        if mdeg < 0:
+            raise ValueError(f"negative M-degree {mdeg}")
+        return self._coeffs.get(mdeg) or TruncSeries.zero(self.order, self.vars)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MExpression):
@@ -114,17 +87,9 @@ class MExpression:
     def _coerce(self, value) -> "MExpression":
         if isinstance(value, MExpression):
             return value
-        if not isinstance(value, TruncSeries):
-            if not isinstance(value, (int, UPolynomial, type(RATIONAL_ZERO))):
-                return NotImplemented
-            series = TruncSeries.from_poly(
-                value if isinstance(value, UPolynomial) else UPolynomial.constant(value),
-                self.order,
-                self.vars,
-            )
-        else:
-            series = value
-        return MExpression.from_series(series)
+        # TruncSeries._coerce reads only the order and vars of its first argument.
+        series = TruncSeries._coerce(self, value)
+        return NotImplemented if series is NotImplemented else MExpression({0: series})
 
     def __add__(self, other) -> "MExpression":
         other = self._coerce(other)
@@ -133,21 +98,15 @@ class MExpression:
         out = dict(self._coeffs)
         for d, series in other._coeffs.items():
             s = out.get(d)
-            s = series if s is None else s + series
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        bound = max(self.mdeg_bound, other.mdeg_bound)
-        return MExpression(out, bound) if out else MExpression._empty(
-            TruncSeries.zero(self.order, self.vars), bound
-        )
+            out[d] = series if s is None else s + series
+        # out is empty only when both operands are zero.
+        return MExpression(out) if out else self
 
     __radd__ = __add__
 
     def __neg__(self) -> "MExpression":
         out = {d: -s for d, s in self._coeffs.items()}
-        return MExpression(out, self.mdeg_bound) if out else self
+        return MExpression(out) if out else self
 
     def __sub__(self, other) -> "MExpression":
         other = self._coerce(other)
@@ -159,20 +118,18 @@ class MExpression:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        bound = self.mdeg_bound + other.mdeg_bound
         out: dict[int, TruncSeries] = {}
         for da, sa in self._coeffs.items():
             for db, sb in other._coeffs.items():
                 prod = sa * sb
-                if not prod:
-                    continue
                 d = da + db
                 s = out.get(d)
-                out[d] = prod if s is None else s + prod
-        out = {d: s for d, s in out.items() if s}
-        if not out:
-            return MExpression._empty(TruncSeries.zero(self.order, self.vars), bound)
-        return MExpression(out, bound)
+                if s is None:
+                    out[d] = prod
+                elif prod:
+                    out[d] = s + prod
+        # out is empty only when an operand is zero; that operand is the product.
+        return MExpression(out) if out else (other if self._coeffs else self)
 
     __rmul__ = __mul__
 
@@ -199,12 +156,11 @@ def umbral_eval(expr: MExpression) -> TruncSeries:
     return total
 
 
-def exp_of_m_power(s: TruncSeries, power: int, mdeg_bound: int) -> MExpression:
+def exp_of_m_power(s: TruncSeries, power: int) -> MExpression:
     """exp(M^power * s) as an M-polynomial: sum_d M^(power*d) s^d / d!.
 
-    ``s`` must have zero constant term so that successive powers gain total
-    degree and the sum terminates within the truncation; a nonzero term that
-    would land beyond ``mdeg_bound`` raises rather than being dropped.
+    ``s`` must have zero constant term: then s^d has total degree >= d, so
+    the sum stops at the first power that vanishes in the truncated ring.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
@@ -217,12 +173,12 @@ def exp_of_m_power(s: TruncSeries, power: int, mdeg_bound: int) -> MExpression:
         coeffs[power * d] = s_pow / math.factorial(d)
         d += 1
         s_pow = s_pow * s
-    return MExpression(coeffs, mdeg_bound)
+    return MExpression(coeffs)
 
 
-def exp_of_linear_M(s: TruncSeries, mdeg_bound: int) -> MExpression:
+def exp_of_linear_M(s: TruncSeries) -> MExpression:
     """exp(M * s), the linear-exponent special case."""
-    return exp_of_m_power(s, 1, mdeg_bound)
+    return exp_of_m_power(s, 1)
 
 
 # -- executable identity checks ---------------------------------------------
@@ -238,20 +194,15 @@ def _two_var(order: int):
 def verify_lemma_fm_i(order: int) -> IdentityReport:
     """Shift rule at f(t)=e^(t*x):  eval(e^(Mz) e^(Mx)) = e^(z^2/2) e^(zx) eval(e^(Mx))."""
     _, z, x = _two_var(order)
-    bound = default_mdeg_bound(order)
-    lhs = umbral_eval(exp_of_linear_M(z, bound) * exp_of_linear_M(x, bound))
-    rhs = (
-        ((z * z) / 2).exp()
-        * (z * x).exp()
-        * umbral_eval(exp_of_linear_M(x, bound))
-    )
+    lhs = umbral_eval(exp_of_linear_M(z) * exp_of_linear_M(x))
+    rhs = ((z * z) / 2).exp() * (z * x).exp() * umbral_eval(exp_of_linear_M(x))
     return compare_series("lemma-fm-i", order, lhs, rhs)
 
 
 def verify_lemma_fm_ii(order: int) -> IdentityReport:
     """Moment series of M^2:  eval(e^(M^2 z)) = (1 - 2z)^(-1/2)."""
     z = TruncSeries.variable("z", order)
-    lhs = umbral_eval(exp_of_m_power(z, 2, default_mdeg_bound(order)))
+    lhs = umbral_eval(exp_of_m_power(z, 2))
     rhs = (TruncSeries.one(order) - 2 * z).sqrt().inverse()
     return compare_series("lemma-fm-ii", order, lhs, rhs)
 
@@ -266,19 +217,18 @@ def verify_corollary_and_ecor(order: int) -> IdentityReport:
     square root s = sqrt(1-2z) by integer powers of its inverse.
     """
     vars, z, x = _two_var(order)
-    bound = default_mdeg_bound(order)
     one = TruncSeries.one(order, vars)
-    exp_m2z = exp_of_m_power(z, 2, bound)
+    exp_m2z = exp_of_m_power(z, 2)
     inv = (one - 2 * z).inverse()
     inv_sqrt = (one - 2 * z).sqrt().inverse()
 
-    lhs_a = umbral_eval(exp_m2z * exp_of_linear_M(x, bound))
+    lhs_a = umbral_eval(exp_m2z * exp_of_linear_M(x))
     rhs_a = inv_sqrt * ((x * x) * inv / 2).exp()
     report = compare_series("corollary", order, lhs_a, rhs_a)
     if not report.verified:
         return IdentityReport("corollary-ecor", order, report.mismatch)
 
-    lhs_b = umbral_eval(exp_m2z * exp_of_m_power(x, 3, bound))
+    lhs_b = umbral_eval(exp_m2z * exp_of_m_power(x, 3))
     inv_s3 = (inv_sqrt * inv_sqrt * inv_sqrt)
     acc = TruncSeries.zero(order, vars)
     x_pow = one

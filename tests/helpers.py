@@ -96,9 +96,9 @@ def check_eval_linearity(count: int) -> None:
     rng = make_rng(3)
     for _ in range(count):
         order = rng.randint(0, 3)
-        bound = rng.randint(2, 5)
-        p = _random_mexpr(rng, order, bound)
-        q = _random_mexpr(rng, order, bound)
+        top = rng.randint(2, 5)
+        p = _random_mexpr(rng, order, top)
+        q = _random_mexpr(rng, order, top)
         a = random_series(rng, order)
         b = random_series(rng, order)
         lhs = umbral_eval(a * p + b * q)
@@ -106,11 +106,11 @@ def check_eval_linearity(count: int) -> None:
         assert lhs == rhs
 
 
-def _random_mexpr(rng, order, bound) -> MExpression:
-    coeffs = {d: random_series(rng, order) for d in range(0, bound + 1) if rng.random() < 0.6}
+def _random_mexpr(rng, order, top) -> MExpression:
+    coeffs = {d: random_series(rng, order) for d in range(0, top + 1) if rng.random() < 0.6}
     if not any(coeffs.values()):
         coeffs[0] = TruncSeries.one(order)
-    return MExpression(coeffs, bound)
+    return MExpression(coeffs)
 
 
 def check_truncation_consistency(count: int) -> None:

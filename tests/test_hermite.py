@@ -119,3 +119,9 @@ def test_normalization_relation_explicit_n2():
     # k=0: 4 == 2^2 * 1, k=1: -2 == -2 * 1
     assert hermite_H(2).coefficient(2) == 4 == 2**2 * hermite_h(2).coefficient(2)
     assert hermite_H(2).coefficient(0) == -2 == -2 * hermite_h(2).coefficient(0)
+
+
+def test_submodule_not_shadowed_by_package_export():
+    import lacunary.hermite as module
+
+    assert module.hermite_H(2) == UPolynomial({(2, 0): 4, (0, 0): -2})

@@ -1,5 +1,7 @@
 """The moment functional, M-expressions, and the executable lemma checks."""
 
+import math
+
 import pytest
 
 from lacunary.hermite import hermite_h, m_moment
@@ -8,7 +10,6 @@ from lacunary.rational import Rational
 from lacunary.series import TruncSeries
 from lacunary.umbral import (
     MExpression,
-    default_mdeg_bound,
     exp_of_linear_M,
     exp_of_m_power,
     umbral_eval,
@@ -56,7 +57,7 @@ def test_eval_m_power_equals_h_at_zero():
 
 def test_exp_of_linear_M_structure():
     z = TruncSeries.variable("z", 2)
-    e = exp_of_linear_M(z, 2)
+    e = exp_of_linear_M(z)
     assert e.coefficient(0) == TruncSeries.one(2)
     assert e.coefficient(1) == z
     assert e.coefficient(2) == TruncSeries.monomial((2,), Rational(1, 2), 2)
@@ -65,7 +66,7 @@ def test_exp_of_linear_M_structure():
 def test_eval_exp_mz_is_exp_half_z_squared():
     order = 8
     z = TruncSeries.variable("z", order)
-    lhs = umbral_eval(exp_of_linear_M(z, default_mdeg_bound(order)))
+    lhs = umbral_eval(exp_of_linear_M(z))
     rhs = TruncSeries(order, {(2,): UPolynomial.constant(Rational(1, 2))}).exp()
     assert lhs == rhs
 
@@ -75,27 +76,58 @@ def test_eval_exp_m_of_sum_of_variables():
     vars = ("z", "x")
     z = TruncSeries.variable("z", order, vars)
     x = TruncSeries.variable("x", order, vars)
-    lhs = umbral_eval(exp_of_linear_M(z + x, default_mdeg_bound(order)))
+    lhs = umbral_eval(exp_of_linear_M(z + x))
     rhs = (((z + x) * (z + x)) / 2).exp()
     assert lhs == rhs
 
 
-def test_mdeg_bound_rejects_dropped_terms():
-    z = TruncSeries.variable("z", 8)
-    with pytest.raises(ValueError):
-        exp_of_linear_M(z, 4)
-    with pytest.raises(ValueError):
-        MExpression({5: TruncSeries.one(3)}, 4)
+def test_zero_expression():
+    zero = MExpression({0: TruncSeries.zero(3)})
+    assert (zero.order, zero.vars) == (3, ("z",))
+    assert zero.coefficient(0) == TruncSeries.zero(3)
+    assert umbral_eval(zero) == TruncSeries.zero(3)
+    M = MExpression.umbra(3)
+    assert zero * M == zero
+    assert M - M == zero
+    assert umbral_eval(zero + M**2) == TruncSeries.one(3)
+
+
+def test_exp_of_m_power_degrees():
+    # the M-degrees are p*d for d <= N, where z^d is the last nonzero power
+    for p in (1, 2, 3):
+        for order in range(7):
+            z = TruncSeries.variable("z", order)
+            e = exp_of_m_power(z, p)
+            for k in range(p * (order + 3)):
+                d, r = divmod(k, p)
+                expected = z**d / math.factorial(d) if r == 0 else TruncSeries.zero(order)
+                assert e.coefficient(k) == expected
+                assert bool(e.coefficient(k)) == (r == 0 and d <= order)
+
+
+def test_product_keeps_every_nonzero_m_degree():
+    # M^(2i) z^i / i! times M^(3j) x^j / j! survives while i + j <= N, so the
+    # top M-degree is 3N (i = 0, j = N) and nothing lies above it up to 6N
+    order = 4
+    vars = ("z", "x")
+    z = TruncSeries.variable("z", order, vars)
+    x = TruncSeries.variable("x", order, vars)
+    product = exp_of_m_power(z, 2) * exp_of_m_power(x, 3)
+    assert product.coefficient(3 * order) == x**order / math.factorial(order)
+    for k in range(3 * order + 1, 6 * order + 1):
+        assert not product.coefficient(k)
 
 
 def test_coefficients_must_share_order():
     with pytest.raises(ValueError):
-        MExpression({0: TruncSeries.one(3), 1: TruncSeries.one(4)}, 2)
+        MExpression({0: TruncSeries.one(3), 1: TruncSeries.one(4)})
+    with pytest.raises(ValueError):
+        MExpression({-1: TruncSeries.one(3)})
 
 
 def test_exp_of_m_power_requires_zero_constant():
     with pytest.raises(ValueError):
-        exp_of_m_power(TruncSeries.one(3), 2, 12)
+        exp_of_m_power(TruncSeries.one(3), 2)
 
 
 def test_shift_rule_for_monomials():
@@ -103,10 +135,10 @@ def test_shift_rule_for_monomials():
     order = 4
     z = TruncSeries.variable("z", order)
     M = MExpression.umbra(order)
-    exp_mz = exp_of_linear_M(z, default_mdeg_bound(order))
+    exp_mz = exp_of_linear_M(z)
     gauss = TruncSeries(order, {(2,): UPolynomial.constant(Rational(1, 2))}).exp()
     shifted = M + MExpression.from_series(z)
-    for k in range(default_mdeg_bound(order) + 1):
+    for k in range(3 * order + 1):
         assert umbral_eval(exp_mz * M**k) == gauss * umbral_eval(shifted**k)
 
 
@@ -122,7 +154,7 @@ def test_lemma_fm_ii_low_coefficients():
     report = verify_lemma_fm_ii(8)
     assert report.verified
     z = TruncSeries.variable("z", 4)
-    lhs = umbral_eval(exp_of_m_power(z, 2, default_mdeg_bound(4)))
+    lhs = umbral_eval(exp_of_m_power(z, 2))
     assert lhs.coefficient((0,)) == UPolynomial.one()
     assert lhs.coefficient((1,)) == UPolynomial.constant(m_moment(2))
     assert lhs.coefficient((2,)) == UPolynomial.constant(Rational(3, 2))
@@ -141,10 +173,9 @@ def test_corollary_x_slice_values():
     vars = ("z", "x")
     z = TruncSeries.variable("z", order, vars)
     x = TruncSeries.variable("x", order, vars)
-    bound = default_mdeg_bound(order)
-    lhs_a = umbral_eval(exp_of_m_power(z, 2, bound) * exp_of_linear_M(x, bound))
+    lhs_a = umbral_eval(exp_of_m_power(z, 2) * exp_of_linear_M(x))
     assert lhs_a.coefficient((0, 2)) == UPolynomial.constant(Rational(1, 2))
-    lhs_b = umbral_eval(exp_of_m_power(z, 2, bound) * exp_of_m_power(x, 3, bound))
+    lhs_b = umbral_eval(exp_of_m_power(z, 2) * exp_of_m_power(x, 3))
     assert lhs_b.coefficient((1, 2)) == UPolynomial.constant(Rational(105, 2))
 
 
@@ -153,9 +184,8 @@ def test_corollary_x_zero_slice_is_lemma_fm_ii():
     vars = ("z", "x")
     z = TruncSeries.variable("z", order, vars)
     x = TruncSeries.variable("x", order, vars)
-    bound = default_mdeg_bound(order)
-    lhs = umbral_eval(exp_of_m_power(z, 2, bound) * exp_of_linear_M(x, bound))
-    univariate = umbral_eval(exp_of_m_power(TruncSeries.variable("z", order), 2, bound))
+    lhs = umbral_eval(exp_of_m_power(z, 2) * exp_of_linear_M(x))
+    univariate = umbral_eval(exp_of_m_power(TruncSeries.variable("z", order), 2))
     for n in range(order + 1):
         assert lhs.coefficient((n, 0)) == univariate.coefficient((n,))
 
