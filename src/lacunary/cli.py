@@ -10,7 +10,6 @@ anything runs), 3 on any other error, named in one line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -97,6 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:

@@ -16,10 +16,12 @@ multigraph on the n vertices (a pair within one vertex is a loop, and loops
 count as cycles); unmatched slots are u-weighted leaves that never affect
 connectivity.  Components are classified by their cyclomatic number
 edges - vertices + 1: zero for trees, one for unicyclic components, two or
-more for the rest.  ``enumerate_marked_graphs`` visits each matching once, in
-``iter_matchings`` order, by one depth-first walk over the slots that updates
-a component name per vertex and a cyclomatic number per component in place
-and undoes them on return; ``MarkedGraph.component_profile`` is its oracle.
+more for the rest.  ``enumerate_marked_graphs`` is one depth-first walk with
+one call per matching: a call counts its matching, all free slots unmatched,
+then adds each pair starting after its last pair's first slot.  Each cycle
+or bridge updates a component name per vertex, a cyclomatic number per
+component and the profile, kept as one int, undone on return;
+``MarkedGraph.component_profile`` is its oracle.
 
 w-trees.  A w-tree is a rooted tree whose internal vertices are labeled and
 trivalent with half-edges marked a/b/c, whose leaves are unlabeled, and
@@ -36,9 +38,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 from . import identities
 from .hermite import hermite_h
@@ -86,19 +87,24 @@ def enumerate_matchings(m: int) -> UPolynomial:
 # -- marked trivalent graphs ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MarkedGraph:
     """n labeled trivalent vertices plus a matching of their 3n half-edge slots."""
 
-    n: int
-    pairs: Pairs
+    __slots__ = ("n", "pairs")
 
-    def __post_init__(self):
-        used = [v for pair in self.pairs for v in pair]
+    def __init__(self, n: int, pairs: Pairs):
+        used = [v for pair in pairs for v in pair]
         if len(set(used)) != len(used):
             raise ValueError("a half-edge slot is used twice")
-        if any(not 0 <= s < 3 * self.n for s in used):
+        if any(not 0 <= s < 3 * n for s in used):
             raise ValueError("half-edge slot out of range")
+        self.n, self.pairs = n, pairs
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MarkedGraph) and (self.n, self.pairs) == (other.n, other.pairs)
+
+    def __hash__(self):
+        return hash((self.n, self.pairs))
 
     def fixed_slots(self) -> Tuple[int, ...]:
         return matching_fixed_points(tuple(range(3 * self.n)), self.pairs)
@@ -148,8 +154,7 @@ def _component_profile(n: int, pairs: Pairs) -> Tuple[int, int, int]:
     return (acyclic, unicyclic, multicyclic)
 
 
-@dataclass(frozen=True)
-class ComponentCensus:
+class ComponentCensus(NamedTuple):
     """Weighted graph counts keyed by component-class profile."""
 
     n: int
@@ -200,43 +205,48 @@ def enumerate_marked_graphs(n: int) -> ComponentCensus:
     used = [False] * slots
     label = list(range(n))  # each vertex's component, named by one of its vertices
     cycles = [0] * n  # cyclomatic number, kept at each component's name
-    counts: Counter = Counter()  # (profile, #fixed slots) -> graphs
+    # key: a base-(n+1) digit per class (acyclic, unicyclic, multicyclic), then #pairs
+    base = n + 1
+    weight = [(1, base, base**2)[min(c, 2)] for c in range(slots + 2)]  # by cycles
+    pair = base**3
+    counts: Counter = Counter()  # key -> graphs
 
-    def walk(s: int, fixed: int) -> None:
-        while s < slots and used[s]:
-            s += 1
-        if s == slots:
-            profile = [0, 0, 0]
-            for v in range(n):
-                if label[v] == v:
-                    profile[min(cycles[v], 2)] += 1
-            counts[tuple(profile), fixed] += 1
-            return
-        used[s] = True
-        walk(s + 1, fixed + 1)  # s stays unmatched
-        a = label[s // 3]
-        for t in range(s + 1, slots):
-            if used[t]:
+    def walk(start: int, key: int) -> None:
+        counts[key] += 1  # every free slot stays unmatched
+        for s in range(start, slots):
+            if used[s]:
                 continue
-            used[t] = True
-            b = label[t // 3]
-            # an edge inside a component closes a cycle; a bridge adds b's cycles to a's
-            moved = [v for v in range(n) if label[v] == b] if b != a else []
-            gained = cycles[b] if moved else 1
-            for v in moved:
-                label[v] = a
-            cycles[a] += gained
-            walk(s + 1, fixed)
-            cycles[a] -= gained
-            for v in moved:
-                label[v] = b
-            used[t] = False
-        used[s] = False
+            used[s] = True
+            a = label[s // 3]
+            for t in range(s + 1, slots):
+                if used[t]:
+                    continue
+                used[t] = True
+                b = label[t // 3]
+                was = cycles[a]
+                if b == a:  # an edge inside a component closes a cycle
+                    cycles[a] = was + 1
+                    walk(s + 1, key + pair + weight[was + 1] - weight[was])
+                else:  # a bridge joins b's component, and its cycles, to a's
+                    moved = [v for v in range(n) if label[v] == b]
+                    gained = cycles[b]
+                    for v in moved:
+                        label[v] = a
+                    cycles[a] = was + gained
+                    walk(s + 1, key + pair + weight[was + gained] - weight[was] - weight[gained])
+                    for v in moved:
+                        label[v] = b
+                cycles[a] = was
+                used[t] = False
+            used[s] = False
 
-    walk(0, 0)
+    walk(0, n)  # n acyclic components, no pairs
     by_profile: Dict[Tuple[int, int, int], UPolynomial] = {}
-    for (profile, fixed), c in counts.items():
-        by_profile[profile] = by_profile.get(profile, POLY_ZERO) + UPolynomial.u(fixed, c)
+    for key, c in counts.items():
+        pairs, code = divmod(key, pair)
+        profile = (code % base, code // base % base, code // base**2)
+        graphs = UPolynomial.u(slots - 2 * pairs, c)  # 3n - 2 pairs fixed slots
+        by_profile[profile] = by_profile.get(profile, POLY_ZERO) + graphs
     return ComponentCensus(n, by_profile)
 
 
@@ -248,14 +258,14 @@ def _iter_canonical(labels: Tuple[int, ...]) -> Iterator[tuple]:
         yield LEAF
         return
     for root in labels:
-        rest = tuple(sorted(set(labels) - {root}))
+        rest = tuple(v for v in labels if v != root)  # labels stay sorted
         for mark in MARKS:  # mark of the unmatched / parent-facing half-edge
             for k in range(len(rest) + 1):
                 for left_labels in itertools.combinations(rest, k):
-                    right_labels = tuple(sorted(set(rest) - set(left_labels)))
-                    for left in _w_tree_lists(left_labels):
-                        for right in _w_tree_lists(right_labels):
-                            yield (root, mark, left, right)
+                    right_labels = tuple(v for v in rest if v not in left_labels)
+                    lefts, rights = _w_tree_lists(left_labels), _w_tree_lists(right_labels)
+                    for left, right in itertools.product(lefts, rights):
+                        yield (root, mark, left, right)
 
 
 @lru_cache(maxsize=None)
@@ -286,7 +296,7 @@ def enumerate_w_trees(n: int) -> int:
         if len(distinct) != len(trees):
             raise AssertionError("canonical w-tree generation produced a duplicate")
         return len(trees)
-    return sum(1 for _ in iter_w_trees(tuple(range(n))))
+    return sum(1 for _ in _iter_canonical(tuple(range(n))))
 
 
 def iter_w_tree_drawings(labels: Tuple[int, ...]) -> Iterator[tuple]:
@@ -333,8 +343,7 @@ def canonical_w_tree(drawing: tuple) -> tuple:
 # -- census versus generating-function factors -----------------------------------
 
 
-@dataclass(frozen=True)
-class CensusCheckEntry:
+class CensusCheckEntry(NamedTuple):
     n: int
     factor: str
     census: UPolynomial
@@ -345,8 +354,7 @@ class CensusCheckEntry:
         return self.census == self.series
 
 
-@dataclass(frozen=True)
-class CensusCheckReport:
+class CensusCheckReport(NamedTuple):
     n_max: int
     entries: Tuple[CensusCheckEntry, ...]
 

@@ -8,21 +8,18 @@ JSON schema (kept byte-stable for downstream diffing):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .poly import POLY_ZERO, UPolynomial
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     exponents: Tuple[int, ...]
     lhs: UPolynomial
     rhs: UPolynomial
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: str
     order: int
     mismatch: Optional[Mismatch] = None

@@ -29,14 +29,14 @@ explicit :meth:`div_z`, which checks divisibility and lowers the recorded
 order by one.  On a part, dividing by z only lowers the degree: the
 polynomial in (u, y) is unchanged, and divisibility means it has no y^d.
 
-Products, in ``*`` and in the recurrences, run on one integer kernel.  Each
-operand (or homogeneous part) is *lifted*: its coefficients become ``int``
-numerators over one denominator, the lcm of their denominators.  The
-multiply-add loop then adds pure ``int`` products into sums keyed by
-(degree, (deg_u, deg_y)), and each sum is *lowered* once, with one gcd,
-back to a normalized ``Rational``; sums that cancel to zero are pruned.  A
-recurrence step brings its products to a common denominator by scaling one
-operand of each by an integer factor before the loop.
+Products run on one integer kernel whose single entry is ``_sum_products``,
+``scale * sum(w * x * y)`` over weighted products: ``*`` is one call, a
+recurrence one per degree, ``umbral`` one per M-degree.  Each operand (or
+homogeneous part) is *lifted* to ``int`` numerators over the lcm of its
+denominators; one operand of each product is scaled by an integer to a
+common denominator, the multiply-add loop adds pure ``int`` products into
+sums keyed by (degree, (deg_u, deg_y)), and each sum is *lowered* once,
+with one gcd, back to a ``Rational``; sums that cancel are pruned.
 
 Instances are immutable and all operations are pure.
 """
@@ -223,11 +223,8 @@ class TruncSeries:
         if other is NotImplemented:
             return NotImplemented
         order = self._check_compatible(other)
-        den_a, terms_a = _lift(self._parts)
-        den_b, terms_b = _lift(other._parts)
-        acc: dict = {}
-        _mul_add(acc, terms_a, terms_b, order)
-        return _make(order, _lower(acc, den_a * den_b), self.vars)
+        products = [(1, _lift(self._parts), _lift(other._parts))]
+        return _make(order, _sum_products(products, order), self.vars)
 
     __rmul__ = __mul__
 
@@ -302,13 +299,7 @@ class TruncSeries:
         lifted = [_lift(parts)]
         for d in range(1, self.order + 1):
             products, scale = step(d, lifted)
-            products = [(w, x, y) for w, x, y in products if x[1] and y[1]]
-            den = math.lcm(*(x[0] * y[0] for _, x, y in products))
-            acc: dict = {}
-            for w, (den_x, xs), (den_y, ys) in products:
-                f = w * (den // (den_x * den_y))
-                _mul_add(acc, [(k, [(du, dy, c * f) for du, dy, c in p]) for k, p in xs], ys, d)
-            part = _lower(acc, den, scale)
+            part = _sum_products(products, d, scale)
             parts.update(part)
             lifted.append(_lift(part))
         return _make(self.order, parts, self.vars)
@@ -329,11 +320,10 @@ class TruncSeries:
         """Square root with constant term 1; requires constant coefficient 1."""
         self._require_constant_one("sqrt")
         a = self._lifted_parts()
-        one = _lift({0: POLY_ONE})
         return self._recurrence(
             POLY_ONE,
             lambda d, b: (
-                [(1, a[d], one)] + [(-1, b[e], b[d - e]) for e in range(1, d)],
+                [(1, a[d], _LIFTED_ONE)] + [(-1, b[e], b[d - e]) for e in range(1, d)],
                 Rational(1, 2),
             ),
         )
@@ -352,11 +342,10 @@ class TruncSeries:
         """Logarithm of a series with constant coefficient 1 (log has constant 0)."""
         self._require_constant_one("log")
         a = self._lifted_parts()
-        one = _lift({0: POLY_ONE})
         return self._recurrence(
             POLY_ZERO,
             lambda d, g: (
-                [(d, a[d], one)] + [(e - d, a[e], g[d - e]) for e in range(1, d)],
+                [(d, a[d], _LIFTED_ONE)] + [(e - d, a[e], g[d - e]) for e in range(1, d)],
                 Rational(1, d),
             ),
         )
@@ -409,6 +398,23 @@ def _lift(parts: Mapping[int, UPolynomial]):
         (d, [(du, dy, c.numerator * (den // c.denominator)) for (du, dy), c in p.items()])
         for d, p in parts.items()
     ]
+
+
+def _sum_products(products, order: int, scale=1) -> dict[int, UPolynomial]:
+    """``scale * sum(w * x * y)`` over lifted ``(w, x, y)``, in the degrees <= order,
+    with every product scaled to one common denominator and lowered once."""
+    products = [(w, x, y) for w, x, y in products if x[1] and y[1]]
+    den = math.lcm(*(x[0] * y[0] for _, x, y in products))
+    acc: dict = {}
+    for w, (den_x, xs), (den_y, ys) in products:
+        f = w * (den // (den_x * den_y))
+        if f != 1:
+            xs = [(k, [(du, dy, c * f) for du, dy, c in p]) for k, p in xs]
+        _mul_add(acc, xs, ys, order)
+    return _lower(acc, den, scale)
+
+
+_LIFTED_ONE = _lift({0: POLY_ONE})
 
 
 def _mul_add(acc, terms_a, terms_b, order) -> None:

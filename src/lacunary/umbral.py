@@ -4,7 +4,9 @@ An ``MExpression`` maps M-degrees to ``TruncSeries`` coefficients that all
 share one truncation order and variable set; it stores only the nonzero
 ones, so its M-degrees are exactly those of its nonzero coefficients.
 ``umbral_eval`` is the linear functional replacing M^n by the
-perfect-matching moment ``m_moment(n)``; odd degrees vanish.
+perfect-matching moment ``m_moment(n)``; odd degrees vanish.  A product or
+an evaluation is one ``_sum_products`` pass of the series kernel per
+M-degree, over M-coefficients each lifted once.
 
 Nothing is truncated in M.  Sums and products keep every nonzero
 coefficient, and ``umbral_eval`` sums them all.  The exponential
@@ -21,7 +23,7 @@ from typing import Mapping
 from .hermite import m_moment
 from .rational import Rational
 from .report import IdentityReport, compare_series
-from .series import TruncSeries
+from .series import _LIFTED_ONE, TruncSeries, _lift, _make, _sum_products
 
 
 class MExpression:
@@ -118,18 +120,18 @@ class MExpression:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, TruncSeries] = {}
+        if not (self._coeffs and other._coeffs):  # a zero operand is the product
+            return other if self._coeffs else self
+        # TruncSeries._check_compatible reads only the order and vars of both.
+        order = TruncSeries._check_compatible(self, other)
+        lifted_b = [(db, _lift(sb._parts)) for db, sb in other._coeffs.items()]
+        groups: dict[int, list] = {}
         for da, sa in self._coeffs.items():
-            for db, sb in other._coeffs.items():
-                prod = sa * sb
-                d = da + db
-                s = out.get(d)
-                if s is None:
-                    out[d] = prod
-                elif prod:
-                    out[d] = s + prod
-        # out is empty only when an operand is zero; that operand is the product.
-        return MExpression(out) if out else (other if self._coeffs else self)
+            lifted_a = _lift(sa._parts)
+            for db, lb in lifted_b:
+                groups.setdefault(da + db, []).append((1, lifted_a, lb))
+        out = {d: _sum_products(products, order) for d, products in groups.items()}
+        return MExpression({d: _make(order, parts, self.vars) for d, parts in out.items()})
 
     __rmul__ = __mul__
 
@@ -148,12 +150,12 @@ class MExpression:
 
 def umbral_eval(expr: MExpression) -> TruncSeries:
     """Apply the moment functional: sum_d m_moment(d) * coefficient(M^d)."""
-    total = TruncSeries.zero(expr.order, expr.vars)
-    for d, series in expr._coeffs.items():
-        moment = m_moment(d)
-        if moment:
-            total = total + series * moment
-    return total
+    products = [
+        (m_moment(d), _lift(series._parts), _LIFTED_ONE)
+        for d, series in expr._coeffs.items()
+        if not d % 2
+    ]
+    return _make(expr.order, _sum_products(products, expr.order), expr.vars)
 
 
 def exp_of_m_power(s: TruncSeries, power: int) -> MExpression:
@@ -231,14 +233,14 @@ def verify_corollary_and_ecor(order: int) -> IdentityReport:
     lhs_b = umbral_eval(exp_m2z * exp_of_m_power(x, 3))
     inv_s3 = (inv_sqrt * inv_sqrt * inv_sqrt)
     acc = TruncSeries.zero(order, vars)
-    x_pow = one
     scale_pow = one
     for n in range(order + 1):
+        if n:  # x^n starts term n at total degree n: build its scale only to order - n
+            scale_pow = scale_pow.truncated(order - n) * inv_s3.truncated(order - n)
         moment = m_moment(3 * n)
         if moment:
-            acc = acc + x_pow * scale_pow * Rational(moment, math.factorial(n))
-        x_pow = x_pow * x
-        scale_pow = scale_pow * inv_s3
+            term = scale_pow * Rational(moment, math.factorial(n))
+            acc = acc + TruncSeries(order, {(a, b + n): p for (a, b), p in term.items()}, vars)
     rhs_b = inv_sqrt * acc
     report = compare_series("ecor", order, lhs_b, rhs_b)
     return IdentityReport("corollary-ecor", order, report.mismatch)

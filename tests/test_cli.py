@@ -1,11 +1,15 @@
 """CLI surface: output grammar, JSON stability, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lacunary import cli, umbral
+import lacunary
+from lacunary import cli, oracle, umbral
 from lacunary.poly import UPolynomial
 from lacunary.report import IdentityReport, Mismatch
 from lacunary.series import TruncSeries
@@ -216,3 +220,39 @@ def test_json_output_is_byte_stable(capsys):
     assert len(outputs) == 1
     coefficients = json.loads(next(iter(outputs)))["coefficients"]
     assert list(coefficients) == ["z^0", "z^1", "z^2", "z^3"]
+
+
+def _modules_after(statement):
+    """The modules a fresh interpreter holds after running ``statement``."""
+    src = str(Path(lacunary.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_cold_import_skips_dataclasses_inspect_and_json():
+    added = _modules_after("import lacunary.cli") - _modules_after("pass")
+    assert "lacunary.cli" in added
+    assert not added & {"dataclasses", "inspect", "json"}
+
+
+def test_report_and_census_records_are_immutable():
+    poly = UPolynomial.one()
+    entry = oracle.CensusCheckEntry(0, "total", poly, poly)
+    records = [
+        (Mismatch((0,), poly, poly), "lhs"),
+        (IdentityReport("main", 0), "mismatch"),
+        (oracle.ComponentCensus(0, {}), "by_profile"),
+        (entry, "census"),
+        (oracle.CensusCheckReport(0, (entry,)), "entries"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

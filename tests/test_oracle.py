@@ -96,6 +96,15 @@ def test_marked_graph_slot_validation():
         MarkedGraph(1, ((0, 5),))
 
 
+def test_marked_graph_value_equality():
+    g = MarkedGraph(2, ((0, 3), (1, 2)))
+    same = MarkedGraph(2, ((0, 3), (1, 2)))
+    assert g == same and hash(g) == hash(same)
+    assert len({g, same}) == 1
+    assert g != MarkedGraph(2, ((0, 3),))
+    assert g != MarkedGraph(3, ((0, 3), (1, 2)))
+
+
 def test_marked_graph_weights_and_edges():
     g = MarkedGraph(2, ((0, 3), (1, 2)))
     assert g.weight_exponent() == 2

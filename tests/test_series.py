@@ -8,6 +8,7 @@ import pytest
 from lacunary.poly import UPolynomial
 from lacunary.rational import Rational
 from lacunary.series import TruncSeries
+from lacunary.umbral import MExpression, umbral_eval
 
 from helpers import (
     check_inverse_pairs,
@@ -389,3 +390,86 @@ def test_kernel_recurrences_match_schoolbook():
         assert plain(unit.sqrt()) == ref_sqrt(plain(unit), order, nvars)
         assert plain(zc.exp()) == ref_exp(plain(zc), order, nvars)
         assert plain(unit.log()) == ref_log(plain(unit), order, nvars)
+
+
+# -- M-expression products and evaluation against the same reference ------------
+#
+# An M-expression is read as {M-degree: plain series}.  The reference multiplies
+# pair by pair with ref_mul and sums with ref_add; it evaluates with the moments
+# counted as (d-1)!! perfect matchings, not by the library's m_moment.
+
+
+def plain_m(expr, top):
+    return {d: plain(expr.coefficient(d)) for d in range(top + 1) if expr.coefficient(d)}
+
+
+def ref_m_mul(a, b, order):
+    out = {}
+    for da, sa in a.items():
+        for db, sb in b.items():
+            out[da + db] = ref_add(out.get(da + db, {}), ref_mul(sa, sb, order))
+    return {d: s for d, s in out.items() if s}
+
+
+def ref_eval(a):
+    total = {}
+    for d, s in a.items():
+        if d % 2 == 0:
+            total = ref_add(total, s, Fraction(math.prod(range(d - 1, 0, -2))))
+    return total
+
+
+def random_m_expression(rng, order, vars, top=5):
+    coeffs = {d: random_series(rng, order, vars, max_terms=4) for d in range(top + 1)}
+    return MExpression({d: s for d, s in coeffs.items() if rng.random() < 0.7} or coeffs)
+
+
+def m_expression_cases():
+    """Random pairs with mixed denominators, then the zero, order and cancelling cases."""
+    rng = make_rng(202)
+    for trial in range(40):
+        vars = ("z",) if trial % 2 else ("z", "x")
+        order = rng.randint(0, 4)
+        orders = (order, order + trial % 3)  # every third pair has equal orders
+        yield tuple(random_m_expression(rng, k, vars) for k in orders)
+    s = TruncSeries(3, {(1,): UPolynomial.u(1, Rational(2, 3)), (0,): Rational(-5, 4)})
+    M = MExpression.umbra(3)
+    yield s + M * s, M * s - s  # M-degree 1 cancels
+    yield MExpression({0: TruncSeries.zero(2)}), random_m_expression(rng, 5, ("z",))
+
+
+def test_m_expression_mul_matches_schoolbook():
+    for a, b in m_expression_cases():
+        got = a * b
+        zeros = [e for e in (a, b) if not plain_m(e, 6)]
+        if zeros:  # a zero operand is the product
+            assert got is zeros[0]
+            continue
+        order = min(a.order, b.order)
+        assert (got.order, got.vars) == (order, a.vars)
+        assert plain_m(got, 12) == ref_m_mul(plain_m(a, 6), plain_m(b, 6), order)
+
+
+def test_m_expression_eval_matches_schoolbook():
+    for a, b in m_expression_cases():
+        for expr in (a, b, a * b):
+            got = umbral_eval(expr)
+            assert (got.order, got.vars) == (expr.order, expr.vars)
+            assert plain(got) == ref_eval(plain_m(expr, 12))
+
+
+def test_m_expression_mul_edge_cases():
+    M = MExpression.umbra(3)
+    s = TruncSeries(3, {(1,): UPolynomial.u(1, Rational(2, 3)), (0,): Rational(-5, 4)})
+    product = (s + M * s) * (M * s - s)
+    assert not product.coefficient(1)
+    assert product.coefficient(2) == s * s
+    # every M-degree cancels: the zero product keeps the operands' order and vars
+    z2 = TruncSeries.variable("z", 3) ** 2
+    vanished = (M * z2) * MExpression.from_series(z2)
+    assert vanished == MExpression({0: TruncSeries.zero(3)})
+    zero = MExpression({0: TruncSeries.zero(5)})
+    assert zero * M is zero
+    assert M * zero is zero
+    with pytest.raises(ValueError, match="incompatible variable sets"):
+        M * MExpression.umbra(3, ("z", "x"))
