@@ -3,6 +3,8 @@ identities: truncated rational series, umbral evaluation, and brute-force
 combinatorial enumeration cross-checking one another.
 """
 
+from fractions import Fraction as Rational
+
 from .hermite import (
     HermiteKind,
     hermite_H,
@@ -32,7 +34,6 @@ from .oracle import (
     factor_census_check,
 )
 from .poly import UPolynomial
-from .rational import Rational
 from .report import IdentityReport, Mismatch
 from .series import TruncSeries
 from .umbral import (

@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from fractions import Fraction as Rational
 
 from . import identities, oracle
 from .hermite import HermiteKind, hermite
 from .poly import UPolynomial
-from .rational import Rational
 from .series import TruncSeries
 
 DEFAULT_ORDER = 12

@@ -25,17 +25,19 @@ even-stride (Doetsch) generating function
 and the triple-stride one, whose right side is the product of three
 combinatorially meaningful factors: exp(T) for forests of unrooted trees,
 (1-6wz)^(-1/2) for cycles of trees, and an explicit double sum for the
-components with at least two independent cycles.
+components with at least two independent cycles.  That sum is a power series
+in the one argument P = z^2 (1-6wz)^(-3), summed over ``P.powers()``; its
+hypergeometric route sums over the powers of 54P the same way.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction as Rational
 from itertools import islice
 
 from .hermite import HermiteKind, hermite_coefficients
 from .poly import POLY_U, UPolynomial
-from .rational import Rational
 from .report import IdentityReport, Mismatch, compare_series
 from .series import TruncSeries
 from .umbral import verify_corollary_and_ecor, verify_lemma_fm_i, verify_lemma_fm_ii
@@ -165,17 +167,12 @@ def multi_cycle_coefficient(n: int) -> Rational:
 
 
 def multi_cycle_factor(order: int) -> TruncSeries:
-    """sum_n (6n)!/(2^(3n)(3n)!) * (1-6wz)^(-3n) * z^(2n)/(2n)!.
-
-    The n-th power is shifted by z^(2n), so it is built only to order - 2n."""
-    inv_cubed = _one_minus_6wz(order).inverse() ** 3
-    total = TruncSeries.one(order)
-    power = TruncSeries.one(order)
-    for n in range(1, order // 2 + 1):
-        rest = order - 2 * n
-        power = power.truncated(rest) * inv_cubed.truncated(rest)
-        term = multi_cycle_coefficient(n) * power
-        total = total + TruncSeries(order, {(e + 2 * n,): p for (e,), p in term.items()})
+    """sum_n (6n)!/(2^(3n)(3n)!) * (1-6wz)^(-3n) * z^(2n)/(2n)!, a power series
+    in P = z^2 (1-6wz)^(-3)."""
+    p = TruncSeries.monomial((2,), 1, order) * _one_minus_6wz(order).inverse() ** 3
+    total = TruncSeries.zero(order)
+    for n, p_n in enumerate(p.powers()):
+        total = total + multi_cycle_coefficient(n) * p_n
     return total
 
 
@@ -223,19 +220,11 @@ def hypergeom_form_check(terms: int) -> IdentityReport:
 
 def hypergeom_series_route(order: int) -> TruncSeries:
     """The hypergeometric sum evaluated at 54 z^2 / (1-6wz)^3 as a series."""
-    argument = (
-        TruncSeries.monomial((2,), UPolynomial.constant(54), order)
-        * _one_minus_6wz(order).inverse() ** 3
-    )
+    argument = TruncSeries.monomial((2,), 54, order) * _one_minus_6wz(order).inverse() ** 3
     total = TruncSeries.zero(order)
-    power = TruncSeries.one(order)
-    for n in range(order // 2 + 1):
-        total = total + (
-            rising_factorial(Rational(1, 6), n)
-            * rising_factorial(Rational(5, 6), n)
-            / math.factorial(n)
-        ) * power
-        power = power * argument
+    for n, power in enumerate(argument.powers()):
+        scalar = rising_factorial(Rational(1, 6), n) * rising_factorial(Rational(5, 6), n)
+        total = total + scalar / math.factorial(n) * power
     return total
 
 

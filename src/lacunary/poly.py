@@ -22,9 +22,8 @@ exact ``p/q`` fractions, explicit ``*`` and ``^``, e.g. ``u^3 + 3*u`` or
 
 from __future__ import annotations
 
+from fractions import Fraction as Rational
 from typing import Iterator, Mapping, Tuple
-
-from .rational import Rational, rational_str
 
 Exponent = Tuple[int, int]  # (deg_u, deg_x)
 
@@ -146,14 +145,7 @@ class UPolynomial:
     def __pow__(self, k: int) -> "UPolynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"polynomial power must be a nonnegative int, got {k!r}")
-        result = UPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, POLY_ONE)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -192,9 +184,9 @@ class UPolynomial:
             )
             mag = abs(c)
             if monomial:
-                term = monomial if mag == 1 else f"{rational_str(mag)}*{monomial}"
+                term = monomial if mag == 1 else f"{mag}*{monomial}"
             else:
-                term = rational_str(mag)
+                term = str(mag)
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
@@ -209,6 +201,19 @@ def _make(coeffs: dict[Exponent, Rational]) -> UPolynomial:
     poly = UPolynomial.__new__(UPolynomial)
     poly._coeffs = coeffs
     return poly
+
+
+def _power(base, k: int, one):
+    """``base ** k`` for an int k >= 0 by repeated squaring, ``one`` at k = 0: the
+    one power routine of polynomials, series and M-expressions."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def _coerce(value) -> UPolynomial:

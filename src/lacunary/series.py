@@ -29,6 +29,11 @@ explicit :meth:`div_z`, which checks divisibility and lowers the recorded
 order by one.  On a part, dividing by z only lowers the degree: the
 polynomial in (u, y) is unchanged, and divisibility means it has no y^d.
 
+A power sum sum_n c_n s^n is built from ``s.powers()``.  s has zero
+constant term, so s^k starts at total degree k and the powers stop by
+themselves; a shift such as z^(2n) belongs inside s, and no power is
+truncated by hand, since the kernel skips every degree pair above the order.
+
 Products run on one integer kernel whose single entry is ``_sum_products``,
 ``scale * sum(w * x * y)`` over weighted products: ``*`` is one call, a
 recurrence one per degree, ``umbral`` one per M-degree.  Each operand (or
@@ -44,11 +49,13 @@ Instances are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
+from fractions import Fraction as Rational
+from itertools import accumulate, repeat, takewhile
+from operator import mul
 from typing import Iterator, Mapping, Sequence, Tuple
 
-from .poly import POLY_ONE, POLY_ZERO, UPolynomial
+from .poly import POLY_ONE, POLY_ZERO, UPolynomial, _power
 from .poly import _make as _make_poly
-from .rational import Rational
 
 Exponents = Tuple[int, ...]
 
@@ -236,14 +243,14 @@ class TruncSeries:
         if not isinstance(k, int):
             raise ValueError(f"series power must be an int, got {k!r}")
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = TruncSeries.one(self.order, self.vars)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(base, abs(k), TruncSeries.one(self.order, self.vars))
+
+    def powers(self) -> Iterator["TruncSeries"]:
+        """1, s, s^2, ... up to the last nonzero power of s, which needs zero constant term."""
+        if self.constant_coefficient():
+            raise ValueError("powers need a series with zero constant term")
+        one = TruncSeries.one(self.order, self.vars)
+        return takewhile(bool, accumulate(repeat(self, self.order), mul, initial=one))
 
     def _coerce(self, value) -> "TruncSeries":
         if isinstance(value, TruncSeries):

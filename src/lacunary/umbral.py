@@ -8,20 +8,21 @@ perfect-matching moment ``m_moment(n)``; odd degrees vanish.  A product or
 an evaluation is one ``_sum_products`` pass of the series kernel per
 M-degree, over M-coefficients each lifted once.
 
-Nothing is truncated in M.  Sums and products keep every nonzero
-coefficient, and ``umbral_eval`` sums them all.  The exponential
-constructors stop by themselves: their argument s must have zero constant
-term, so s^d has total degree >= d and vanishes in the truncated series
-ring once d exceeds the order.
+Like series, sums and products take the smaller operand order and need
+equal variable sets.  Nothing is truncated in M.  Sums and products keep
+every nonzero coefficient, and ``umbral_eval`` sums them all.  The
+exponential constructors sum over ``TruncSeries.powers()`` of their
+argument, which must have zero constant term, so they stop by themselves.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction as Rational
 from typing import Mapping
 
 from .hermite import m_moment
-from .rational import Rational
+from .poly import _power
 from .report import IdentityReport, compare_series
 from .series import _LIFTED_ONE, TruncSeries, _lift, _make, _sum_products
 
@@ -97,12 +98,13 @@ class MExpression:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._coeffs)
-        for d, series in other._coeffs.items():
-            s = out.get(d)
-            out[d] = series if s is None else s + series
-        # out is empty only when both operands are zero.
-        return MExpression(out) if out else self
+        # TruncSeries._check_compatible reads only the order and vars of both.
+        order = TruncSeries._check_compatible(self, other)
+        out = {0: TruncSeries.zero(order, self.vars)}
+        for expr in (self, other):
+            for d, series in expr._coeffs.items():
+                out[d] = out[d] + series if d in out else series.truncated(order)
+        return MExpression(out)
 
     __radd__ = __add__
 
@@ -120,12 +122,9 @@ class MExpression:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not (self._coeffs and other._coeffs):  # a zero operand is the product
-            return other if self._coeffs else self
-        # TruncSeries._check_compatible reads only the order and vars of both.
         order = TruncSeries._check_compatible(self, other)
         lifted_b = [(db, _lift(sb._parts)) for db, sb in other._coeffs.items()]
-        groups: dict[int, list] = {}
+        groups: dict[int, list] = {0: []}  # so a zero product keeps its order and vars
         for da, sa in self._coeffs.items():
             lifted_a = _lift(sa._parts)
             for db, lb in lifted_b:
@@ -138,14 +137,7 @@ class MExpression:
     def __pow__(self, k: int) -> "MExpression":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"M-expression power must be a nonnegative int, got {k!r}")
-        result = MExpression.from_series(TruncSeries.one(self.order, self.vars))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, MExpression.from_series(TruncSeries.one(self.order, self.vars)))
 
 
 def umbral_eval(expr: MExpression) -> TruncSeries:
@@ -161,21 +153,13 @@ def umbral_eval(expr: MExpression) -> TruncSeries:
 def exp_of_m_power(s: TruncSeries, power: int) -> MExpression:
     """exp(M^power * s) as an M-polynomial: sum_d M^(power*d) s^d / d!.
 
-    ``s`` must have zero constant term: then s^d has total degree >= d, so
-    the sum stops at the first power that vanishes in the truncated ring.
+    ``s`` must have zero constant term; the sum runs over ``s.powers()``.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
-    if s.constant_coefficient():
-        raise ValueError("exp_of_m_power needs a series with zero constant term")
-    coeffs: dict[int, TruncSeries] = {}
-    s_pow = TruncSeries.one(s.order, s.vars)
-    d = 0
-    while s_pow:
-        coeffs[power * d] = s_pow / math.factorial(d)
-        d += 1
-        s_pow = s_pow * s
-    return MExpression(coeffs)
+    return MExpression(
+        {power * d: s_d / math.factorial(d) for d, s_d in enumerate(s.powers())}
+    )
 
 
 def exp_of_linear_M(s: TruncSeries) -> MExpression:
@@ -215,8 +199,9 @@ def verify_corollary_and_ecor(order: int) -> IdentityReport:
     (a) eval(e^(M^2 z + M x))   = (1-2z)^(-1/2) * exp(x^2 / (2(1-2z)))
     (b) eval(e^(M^2 z + M^3 x)) = (1-2z)^(-1/2) * sum_n m_moment(3n)/n! * x^n (1-2z)^(-3n/2)
 
-    Fractional powers never appear: (1-2z)^(-3n/2) is formed from the one
-    square root s = sqrt(1-2z) by integer powers of its inverse.
+    The sum in (b) is a power series in Q = x (1-2z)^(-3/2), summed over
+    ``Q.powers()``.  Fractional powers never appear: Q is formed from the one
+    square root sqrt(1-2z) by integer powers of its inverse.
     """
     vars, z, x = _two_var(order)
     one = TruncSeries.one(order, vars)
@@ -231,16 +216,12 @@ def verify_corollary_and_ecor(order: int) -> IdentityReport:
         return IdentityReport("corollary-ecor", order, report.mismatch)
 
     lhs_b = umbral_eval(exp_m2z * exp_of_m_power(x, 3))
-    inv_s3 = (inv_sqrt * inv_sqrt * inv_sqrt)
+    q = x * inv_sqrt**3
     acc = TruncSeries.zero(order, vars)
-    scale_pow = one
-    for n in range(order + 1):
-        if n:  # x^n starts term n at total degree n: build its scale only to order - n
-            scale_pow = scale_pow.truncated(order - n) * inv_s3.truncated(order - n)
+    for n, q_n in enumerate(q.powers()):
         moment = m_moment(3 * n)
         if moment:
-            term = scale_pow * Rational(moment, math.factorial(n))
-            acc = acc + TruncSeries(order, {(a, b + n): p for (a, b), p in term.items()}, vars)
+            acc = acc + q_n * Rational(moment, math.factorial(n))
     rhs_b = inv_sqrt * acc
     report = compare_series("ecor", order, lhs_b, rhs_b)
     return IdentityReport("corollary-ecor", order, report.mismatch)

@@ -8,8 +8,8 @@ without duplicating logic.
 
 import random
 
+from lacunary import Rational
 from lacunary.poly import UPolynomial
-from lacunary.rational import Rational
 from lacunary.series import TruncSeries
 from lacunary.umbral import MExpression, umbral_eval
 

@@ -10,6 +10,7 @@ to see one PASS/FAIL line per criterion with timings.
 import math
 import time
 
+from lacunary import Rational
 from lacunary.cli import main as cli_main
 from lacunary.hermite import hermite_h
 from lacunary.identities import (
@@ -20,7 +21,6 @@ from lacunary.identities import (
     verify,
 )
 from lacunary.oracle import enumerate_matchings, enumerate_w_trees, factor_census_check
-from lacunary.rational import Rational
 from lacunary.umbral import (
     verify_corollary_and_ecor,
     verify_lemma_fm_i,

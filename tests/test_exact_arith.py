@@ -2,8 +2,8 @@
 
 import pytest
 
+from lacunary import Rational
 from lacunary.poly import UPolynomial
-from lacunary.rational import Rational, rational_str
 
 from helpers import check_diff_u_rules, check_poly_ring_axioms, check_rational_roundtrip
 
@@ -15,8 +15,8 @@ ONE = UPolynomial.one()
 def test_rational_normalization():
     q = Rational(6, -4)
     assert q.numerator == -3 and q.denominator == 2
-    assert rational_str(q) == "-3/2"
-    assert rational_str(Rational(4, 2)) == "2"
+    assert str(q) == "-3/2"
+    assert str(Rational(4, 2)) == "2"
     assert Rational(1, 3) + Rational(1, 6) == Rational(1, 2)
 
 
@@ -46,6 +46,8 @@ def test_mul_mixed_variables():
 def test_pow():
     assert (U + ONE) ** 3 == UPolynomial({(3, 0): 1, (2, 0): 3, (1, 0): 3, (0, 0): 1})
     assert (U + X) ** 0 == ONE
+    assert (U + X) ** 1 == U + X
+    assert (U - X) ** 5 == (U - X) * (U - X) * (U - X) * (U - X) * (U - X)
     with pytest.raises(ValueError):
         (U + ONE) ** -1
 

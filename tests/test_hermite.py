@@ -2,6 +2,7 @@
 
 import math
 
+from lacunary import Rational
 from lacunary.hermite import (
     HermiteKind,
     hermite,
@@ -12,7 +13,6 @@ from lacunary.hermite import (
 )
 from lacunary.oracle import enumerate_matchings
 from lacunary.poly import UPolynomial
-from lacunary.rational import Rational
 from lacunary.series import TruncSeries
 
 U = UPolynomial.u

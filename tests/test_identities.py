@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lacunary import Rational
 from lacunary.hermite import hermite_h
 from lacunary.identities import (
     catalan_number,
@@ -25,7 +26,6 @@ from lacunary.identities import (
     w_series,
 )
 from lacunary.poly import UPolynomial
-from lacunary.rational import Rational
 from lacunary.report import compare_series
 from lacunary.series import TruncSeries
 

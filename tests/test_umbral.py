@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+from lacunary import Rational
 from lacunary.hermite import hermite_h, m_moment
 from lacunary.poly import UPolynomial
-from lacunary.rational import Rational
 from lacunary.series import TruncSeries
 from lacunary.umbral import (
     MExpression,
@@ -123,6 +123,46 @@ def test_coefficients_must_share_order():
         MExpression({0: TruncSeries.one(3), 1: TruncSeries.one(4)})
     with pytest.raises(ValueError):
         MExpression({-1: TruncSeries.one(3)})
+
+
+def test_sum_and_product_take_the_smaller_order():
+    a = MExpression({0: TruncSeries.one(4)})
+    b = MExpression({1: TruncSeries.one(3)})
+    for got in (a + b, b + a, a * b, b * a):
+        assert (got.order, got.vars) == (3, ("z",))
+    assert a + b == MExpression({0: TruncSeries.one(3), 1: TruncSeries.one(3)})
+    assert a * b == b
+    # overlapping and disjoint M-degrees in one sum
+    c = MExpression({0: TruncSeries.one(5), 1: TruncSeries.one(5)})
+    assert c + b == MExpression({0: TruncSeries.one(3), 1: 2 * TruncSeries.one(3)})
+    zero = MExpression({0: TruncSeries.zero(4)})
+    assert zero * b == b * zero == MExpression({0: TruncSeries.zero(3)})
+    assert zero + MExpression({0: TruncSeries.zero(2)}) == MExpression({0: TruncSeries.zero(2)})
+
+
+def test_sum_and_product_need_equal_variables():
+    two = ("z", "x")
+    pairs = [
+        (MExpression({0: TruncSeries.zero(3, two)}), MExpression.umbra(3)),
+        (MExpression.umbra(3, two), MExpression.umbra(3)),
+        (MExpression.umbra(3, two), MExpression({0: TruncSeries.zero(3)})),
+    ]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="incompatible variable sets"):
+                x + y
+            with pytest.raises(ValueError, match="incompatible variable sets"):
+                x * y
+
+
+def test_m_expression_pow():
+    vars = ("z", "x")
+    e = MExpression.umbra(3, vars) + TruncSeries.variable("x", 3, vars)
+    assert e**0 == MExpression.from_series(TruncSeries.one(3, vars))
+    assert e**1 == e
+    assert e**5 == e * e * e * e * e
+    with pytest.raises(ValueError):
+        e**-1
 
 
 def test_exp_of_m_power_requires_zero_constant():
