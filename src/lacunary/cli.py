@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction as Rational
 
@@ -95,13 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        import json
+    try:
+        if fmt == "json":
+            import json
 
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left; the result is computed, so the exit code stands.
+        # Point fd 1 at devnull so the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _series_payload(name: str, series: TruncSeries) -> tuple[dict, list[str]]:

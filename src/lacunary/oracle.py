@@ -16,12 +16,15 @@ multigraph on the n vertices (a pair within one vertex is a loop, and loops
 count as cycles); unmatched slots are u-weighted leaves that never affect
 connectivity.  Components are classified by their cyclomatic number
 edges - vertices + 1: zero for trees, one for unicyclic components, two or
-more for the rest.  ``enumerate_marked_graphs`` is one depth-first walk with
-one call per matching: a call counts its matching, all free slots unmatched,
-then adds each pair starting after its last pair's first slot.  Each cycle
-or bridge updates a component name per vertex, a cyclomatic number per
-component and the profile, kept as one int, undone on return;
-``MarkedGraph.component_profile`` is its oracle.
+more for the rest.  ``enumerate_marked_graphs`` counts by walk state (the
+transfer-matrix method): it goes slot by slot, leaving each free slot
+unmatched or pairing it with a free later slot, and memoizes on the slot,
+the bitmask of later slots already matched, and each vertex's component
+(named by first occurrence) with that component's cyclomatic number capped
+at 2.  A state's result is the ``Counter`` of profile-key increments over
+every way to finish from it, so each state is visited once however many
+matchings reach it.  ``MarkedGraph.component_profile``, a union-find on one
+graph, is its oracle.
 
 w-trees.  A w-tree is a rooted tree whose internal vertices are labeled and
 trivalent with half-edges marked a/b/c, whose leaves are unlabeled, and
@@ -29,8 +32,9 @@ whose root half-edge is unmatched.  The two subtrees under an internal
 vertex hang off half-edges with distinct marks, so ordering children by
 mark is a canonical form for the 2-per-vertex child-order symmetry of plane
 drawings.  ``iter_w_trees`` generates exactly the canonical drawings (each
-tree once); ``iter_w_tree_drawings`` generates all drawings so that small-n
-tests can exercise the quotient explicitly.
+tree once) from memoized subtree lists.  ``enumerate_w_trees`` generates
+and checks them up to n = 4; at n = 5 it multiplies the subtree list
+lengths instead of yielding the trees.
 """
 
 from __future__ import annotations
@@ -106,16 +110,9 @@ class MarkedGraph:
     def __hash__(self):
         return hash((self.n, self.pairs))
 
-    def fixed_slots(self) -> Tuple[int, ...]:
-        return matching_fixed_points(tuple(range(3 * self.n)), self.pairs)
-
     def weight_exponent(self) -> int:
         """Number of u-weighted monovalent leaves."""
         return 3 * self.n - 2 * len(self.pairs)
-
-    def reduced_edges(self) -> Tuple[Pair, ...]:
-        """Vertex pairs of the reduced multigraph (loops and multi-edges kept)."""
-        return tuple((s // 3, t // 3) for s, t in self.pairs)
 
     def component_profile(self) -> Tuple[int, int, int]:
         return _component_profile(self.n, self.pairs)
@@ -202,47 +199,48 @@ def enumerate_marked_graphs(n: int) -> ComponentCensus:
             f"marked-graph enumeration supports 0 <= n <= {MARKED_GRAPH_BOUND}, got {n}"
         )
     slots = 3 * n
-    used = [False] * slots
-    label = list(range(n))  # each vertex's component, named by one of its vertices
-    cycles = [0] * n  # cyclomatic number, kept at each component's name
     # key: a base-(n+1) digit per class (acyclic, unicyclic, multicyclic), then #pairs
     base = n + 1
-    weight = [(1, base, base**2)[min(c, 2)] for c in range(slots + 2)]  # by cycles
+    weight = (1, base, base**2)  # by cyclomatic number, capped at 2
     pair = base**3
-    counts: Counter = Counter()  # key -> graphs
+    memo: Dict[tuple, Counter] = {}
 
-    def walk(start: int, key: int) -> None:
-        counts[key] += 1  # every free slot stays unmatched
-        for s in range(start, slots):
-            if used[s]:
+    def walk(s: int, matched: int, comps: tuple, cycles: tuple) -> Counter:
+        """Key increments over every way to finish from slot s.
+
+        Bit i of ``matched`` marks slot s + i as already paired; ``comps``
+        names each vertex's component by first occurrence, and ``cycles``
+        holds each component's cyclomatic number capped at 2.
+        """
+        while matched & 1:
+            s, matched = s + 1, matched >> 1
+        if s == slots:
+            return Counter({sum(weight[c] for c in cycles): 1})
+        state = (s, matched, comps, cycles)
+        if state in memo:
+            return memo[state]
+        out = Counter(walk(s + 1, matched >> 1, comps, cycles))  # s stays unmatched
+        a = comps[s // 3]
+        for t in range(s + 1, slots):
+            if matched >> (t - s) & 1:
                 continue
-            used[s] = True
-            a = label[s // 3]
-            for t in range(s + 1, slots):
-                if used[t]:
-                    continue
-                used[t] = True
-                b = label[t // 3]
-                was = cycles[a]
-                if b == a:  # an edge inside a component closes a cycle
-                    cycles[a] = was + 1
-                    walk(s + 1, key + pair + weight[was + 1] - weight[was])
-                else:  # a bridge joins b's component, and its cycles, to a's
-                    moved = [v for v in range(n) if label[v] == b]
-                    gained = cycles[b]
-                    for v in moved:
-                        label[v] = a
-                    cycles[a] = was + gained
-                    walk(s + 1, key + pair + weight[was + gained] - weight[was] - weight[gained])
-                    for v in moved:
-                        label[v] = b
-                cycles[a] = was
-                used[t] = False
-            used[s] = False
+            b = comps[t // 3]
+            lo, hi = min(a, b), max(a, b)
+            if lo == hi:  # an edge inside a component closes a cycle
+                to_comps = comps
+                to_cycles = cycles[:lo] + (min(cycles[lo] + 1, 2),) + cycles[lo + 1 :]
+            else:  # a bridge joins hi's component, and its cycles, to lo's
+                to_comps = tuple(lo if c == hi else c - (c > hi) for c in comps)
+                joined = min(cycles[lo] + cycles[hi], 2)
+                to_cycles = cycles[:lo] + (joined,) + cycles[lo + 1 : hi] + cycles[hi + 1 :]
+            to_matched = (matched | 1 << (t - s)) >> 1
+            for key, c in walk(s + 1, to_matched, to_comps, to_cycles).items():
+                out[key + pair] += c
+        memo[state] = out
+        return out
 
-    walk(0, n)  # n acyclic components, no pairs
     by_profile: Dict[Tuple[int, int, int], UPolynomial] = {}
-    for key, c in counts.items():
+    for key, c in walk(0, 0, tuple(range(n)), (0,) * n).items():
         pairs, code = divmod(key, pair)
         profile = (code % base, code // base % base, code // base**2)
         graphs = UPolynomial.u(slots - 2 * pairs, c)  # 3n - 2 pairs fixed slots
@@ -253,6 +251,13 @@ def enumerate_marked_graphs(n: int) -> ComponentCensus:
 # -- w-trees --------------------------------------------------------------------
 
 
+def _splits(rest: Tuple[int, ...]) -> Iterator[Tuple[tuple, tuple]]:
+    """Each (left, right) split of the labels in ``rest``, both kept sorted."""
+    for k in range(len(rest) + 1):
+        for left in itertools.combinations(rest, k):
+            yield left, tuple(v for v in rest if v not in left)
+
+
 def _iter_canonical(labels: Tuple[int, ...]) -> Iterator[tuple]:
     if not labels:
         yield LEAF
@@ -260,12 +265,10 @@ def _iter_canonical(labels: Tuple[int, ...]) -> Iterator[tuple]:
     for root in labels:
         rest = tuple(v for v in labels if v != root)  # labels stay sorted
         for mark in MARKS:  # mark of the unmatched / parent-facing half-edge
-            for k in range(len(rest) + 1):
-                for left_labels in itertools.combinations(rest, k):
-                    right_labels = tuple(v for v in rest if v not in left_labels)
-                    lefts, rights = _w_tree_lists(left_labels), _w_tree_lists(right_labels)
-                    for left, right in itertools.product(lefts, rights):
-                        yield (root, mark, left, right)
+            for left_labels, right_labels in _splits(rest):
+                lefts, rights = _w_tree_lists(left_labels), _w_tree_lists(right_labels)
+                for left, right in itertools.product(lefts, rights):
+                    yield (root, mark, left, right)
 
 
 @lru_cache(maxsize=None)
@@ -287,57 +290,25 @@ def iter_w_trees(labels: Tuple[int, ...]) -> Iterator[tuple]:
 
 
 def enumerate_w_trees(n: int) -> int:
-    """Count distinct w-trees with n internal vertices by direct generation."""
+    """Count distinct w-trees with n internal vertices.
+
+    Up to n = 4 the trees are generated and checked for duplicates; at n = 5
+    the count multiplies the lengths of the subtree lists under each root, mark
+    and split, the pairs ``iter_w_trees`` would yield.
+    """
     if not 0 <= n <= W_TREE_BOUND:
         raise ValueError(f"w-tree enumeration supports 0 <= n <= {W_TREE_BOUND}, got {n}")
+    labels = tuple(range(n))
     if n <= 4:
-        trees = list(iter_w_trees(tuple(range(n))))
-        distinct = set(trees)
-        if len(distinct) != len(trees):
+        trees = list(iter_w_trees(labels))
+        if len(set(trees)) != len(trees):
             raise AssertionError("canonical w-tree generation produced a duplicate")
         return len(trees)
-    return sum(1 for _ in _iter_canonical(tuple(range(n))))
-
-
-def iter_w_tree_drawings(labels: Tuple[int, ...]) -> Iterator[tuple]:
-    """All 2^n plane drawings per tree: children in either order.
-
-    A drawing is (root, root_mark, (mark1, sub1), (mark2, sub2)) with the
-    children in drawing order; a leaf is ().
-    """
-    labels = tuple(sorted(labels))
-    if not labels:
-        yield LEAF
-        return
-    for root in labels:
-        rest = tuple(sorted(set(labels) - {root}))
-        for mark in MARKS:
-            others = tuple(m for m in MARKS if m != mark)
-            for mark_order in (others, others[::-1]):
-                for k in range(len(rest) + 1):
-                    for first_labels in itertools.combinations(rest, k):
-                        second_labels = tuple(sorted(set(rest) - set(first_labels)))
-                        for first in iter_w_tree_drawings(first_labels):
-                            for second in iter_w_tree_drawings(second_labels):
-                                yield (
-                                    root,
-                                    mark,
-                                    (mark_order[0], first),
-                                    (mark_order[1], second),
-                                )
-
-
-def canonical_w_tree(drawing: tuple) -> tuple:
-    """Canonical form of a drawing: sort children by (mark, subtree encoding)."""
-    if drawing == LEAF:
-        return LEAF
-    root, mark, (m1, sub1), (m2, sub2) = drawing
-    c1 = (m1, canonical_w_tree(sub1))
-    c2 = (m2, canonical_w_tree(sub2))
-    left, right = sorted((c1, c2))
-    # canonical drawings drop the child marks: they are determined by the
-    # root mark plus alphabetical order
-    return (root, mark, left[1], right[1])
+    return len(MARKS) * sum(
+        len(_w_tree_lists(left)) * len(_w_tree_lists(right))
+        for root in labels
+        for left, right in _splits(tuple(v for v in labels if v != root))
+    )
 
 
 # -- census versus generating-function factors -----------------------------------

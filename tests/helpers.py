@@ -4,13 +4,19 @@ Each check_* function runs ``count`` independent random instances from a
 fixed-seed generator and asserts the property on every one, so the module
 tests can run a few hundred and the acceptance gate can demand a thousand
 without duplicating logic.
+
+The oracle helpers at the end are test-only views of brute-force objects:
+the slots and edges of a marked graph, and every plane drawing of the
+w-trees together with the quotient that recovers the canonical ones.
 """
 
+import itertools
 import random
 
 from lacunary import Rational
 from lacunary.poly import UPolynomial
 from lacunary.series import TruncSeries
+from lacunary.oracle import LEAF, MARKS, MarkedGraph, matching_fixed_points
 from lacunary.umbral import MExpression, umbral_eval
 
 SEED = 20260811
@@ -171,3 +177,57 @@ def check_rational_roundtrip(count: int) -> None:
         from math import gcd
 
         assert gcd(int(c.numerator), int(c.denominator)) == 1
+
+
+# -- oracle views --------------------------------------------------------------
+
+
+def fixed_slots(graph: MarkedGraph) -> tuple:
+    """The unmatched half-edge slots of a marked graph."""
+    return matching_fixed_points(tuple(range(3 * graph.n)), graph.pairs)
+
+
+def reduced_edges(graph: MarkedGraph) -> tuple:
+    """Vertex pairs of the reduced multigraph (loops and multi-edges kept)."""
+    return tuple((s // 3, t // 3) for s, t in graph.pairs)
+
+
+def iter_w_tree_drawings(labels: tuple):
+    """All 2^n plane drawings per w-tree: children in either order.
+
+    A drawing is (root, root_mark, (mark1, sub1), (mark2, sub2)) with the
+    children in drawing order; a leaf is ().
+    """
+    labels = tuple(sorted(labels))
+    if not labels:
+        yield LEAF
+        return
+    for root in labels:
+        rest = tuple(sorted(set(labels) - {root}))
+        for mark in MARKS:
+            others = tuple(m for m in MARKS if m != mark)
+            for mark_order in (others, others[::-1]):
+                for k in range(len(rest) + 1):
+                    for first_labels in itertools.combinations(rest, k):
+                        second_labels = tuple(sorted(set(rest) - set(first_labels)))
+                        for first in iter_w_tree_drawings(first_labels):
+                            for second in iter_w_tree_drawings(second_labels):
+                                yield (
+                                    root,
+                                    mark,
+                                    (mark_order[0], first),
+                                    (mark_order[1], second),
+                                )
+
+
+def canonical_w_tree(drawing: tuple) -> tuple:
+    """Canonical form of a drawing: sort children by (mark, subtree encoding)."""
+    if drawing == LEAF:
+        return LEAF
+    root, mark, (m1, sub1), (m2, sub2) = drawing
+    c1 = (m1, canonical_w_tree(sub1))
+    c2 = (m2, canonical_w_tree(sub2))
+    left, right = sorted((c1, c2))
+    # canonical drawings drop the child marks: they are determined by the
+    # root mark plus alphabetical order
+    return (root, mark, left[1], right[1])

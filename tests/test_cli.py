@@ -222,14 +222,19 @@ def test_json_output_is_byte_stable(capsys):
     assert list(coefficients) == ["z^0", "z^1", "z^2", "z^3"]
 
 
-def _modules_after(statement):
-    """The modules a fresh interpreter holds after running ``statement``."""
+def _child_env(**overrides):
+    """The environment for a fresh interpreter that imports this lacunary."""
     src = str(Path(lacunary.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
+def _modules_after(statement):
+    """The modules a fresh interpreter holds after running ``statement``."""
     probe = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -241,6 +246,24 @@ def test_cold_import_skips_dataclasses_inspect_and_json():
     added = _modules_after("import lacunary.cli") - _modules_after("pass")
     assert "lacunary.cli" in added
     assert not added & {"dataclasses", "inspect", "json"}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=("unbuffered", "buffered"))
+def test_closed_stdout_pipe_is_not_an_error(unbuffered):
+    # the reader is gone before anything is written, as in `lacunary ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lacunary.cli", "hermite", "--kind", "h", "--n", "3"],
+            env=_child_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_report_and_census_records_are_immutable():

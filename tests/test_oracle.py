@@ -8,18 +8,19 @@ from lacunary.hermite import hermite_h
 from lacunary.identities import catalan_number, w_series
 from lacunary.oracle import (
     MarkedGraph,
-    canonical_w_tree,
+    _iter_canonical,
     enumerate_marked_graphs,
     enumerate_matchings,
     enumerate_w_trees,
     factor_census_check,
     iter_marked_graphs,
     iter_matchings,
-    iter_w_tree_drawings,
     iter_w_trees,
     matching_fixed_points,
 )
 from lacunary.poly import UPolynomial
+
+from helpers import canonical_w_tree, fixed_slots, iter_w_tree_drawings, reduced_edges
 
 
 def test_matchings_are_involutions():
@@ -72,6 +73,11 @@ def test_w_tree_counts_match_w_series():
         assert w.coefficient((n,)) * math.factorial(n) == expected
 
 
+def test_w_tree_count_n5_equals_generation():
+    # the n = 5 count multiplies subtree list lengths; generation yields each tree
+    assert enumerate_w_trees(5) == sum(1 for _ in _iter_canonical(tuple(range(5))))
+
+
 def test_w_tree_drawings_quotient():
     # 2^n drawings per tree; canonicalizing recovers exactly the direct list
     for n in range(4):
@@ -108,8 +114,8 @@ def test_marked_graph_value_equality():
 def test_marked_graph_weights_and_edges():
     g = MarkedGraph(2, ((0, 3), (1, 2)))
     assert g.weight_exponent() == 2
-    assert g.fixed_slots() == (4, 5)
-    assert g.reduced_edges() == ((0, 1), (0, 0))
+    assert fixed_slots(g) == (4, 5)
+    assert reduced_edges(g) == ((0, 1), (0, 0))
     # one component, 2 vertices, a bridge plus a loop: cyclomatic number 1
     assert g.component_profile() == (0, 1, 0)
 
@@ -146,7 +152,7 @@ def test_component_profile_against_networkx():
     for graph in iter_marked_graphs(3):
         multigraph = nx.MultiGraph()
         multigraph.add_nodes_from(range(3))
-        multigraph.add_edges_from(graph.reduced_edges())
+        multigraph.add_edges_from(reduced_edges(graph))
         profile = [0, 0, 0]
         for component in nx.connected_components(multigraph):
             sub = multigraph.subgraph(component)
@@ -159,7 +165,7 @@ def test_component_profile_against_networkx():
 
 def test_census_independent_of_enumeration_order():
     # each graph classified on its own by its union-find, in reverse order
-    for n in range(4):
+    for n in range(5):
         reversed_counts = {}
         for graph in reversed(list(iter_marked_graphs(n))):
             profile = graph.component_profile()
