@@ -9,10 +9,10 @@ coefficients in u.  The central object is the weighted rooted-tree series
 whose z^n coefficient is 3^n * C_n * u^(n+1) with C_n the Catalan numbers.
 Each factor is built by one route: ``w_series`` by that Catalan formula,
 ``tree_gf`` by its explicit coefficient formula and ``one_cycle_factor`` as
-the inverse square root of 1 - 6wz.  The other routes are checks only:
-``w-routes`` compares the fixed point and the closed form against
-``w_series``, ``tree-gf-routes`` the product and integral routes against
-``tree_gf``, and ``one-cycle-routes`` the exp-log route against
+(1 - 6wz)^(-1/2) by the series power recurrence.  The other routes are
+checks only: ``w-routes`` compares the fixed point and the closed form
+against ``w_series``, ``tree-gf-routes`` the product and integral routes
+against ``tree_gf``, and ``one-cycle-routes`` the exp-log route against
 ``one_cycle_factor``.  Nothing is cached; w is cheap to rebuild.
 
 The identities themselves form a closed enumeration (see IDENTITIES);
@@ -74,7 +74,7 @@ def w_closed_form(order: int) -> TruncSeries:
     radicand = TruncSeries.one(order + 1) - TruncSeries.monomial(
         (1,), UPolynomial.u(coeff=12), order + 1
     )
-    return (TruncSeries.one(order + 1) - radicand.sqrt()).div_z() / 6
+    return (TruncSeries.one(order + 1) - radicand ** Rational(1, 2)).div_z() / 6
 
 
 def w_series(order: int) -> TruncSeries:
@@ -104,8 +104,8 @@ def rhs_doetsch(order: int) -> TruncSeries:
     """(1 - 2z)^(-1/2) * exp(u^2 z / (1 - 2z))."""
     one = TruncSeries.one(order)
     base = one - 2 * _z(order)
-    arg = TruncSeries.monomial((1,), UPolynomial.u(power=2), order) * base.inverse()
-    return base.sqrt().inverse() * arg.exp()
+    arg = TruncSeries.monomial((1,), UPolynomial.u(power=2), order) * base**-1
+    return base ** Rational(-1, 2) * arg.exp()
 
 
 # -- the tree generating function, three ways --------------------------------
@@ -129,7 +129,7 @@ def tree_gf_integral_route(order: int) -> TruncSeries:
     one = TruncSeries.one(lifted)
     uz = TruncSeries.monomial((1,), POLY_U, lifted)
     radicand = one - 12 * uz
-    numerator = radicand * radicand.sqrt() - one + 18 * uz
+    numerator = radicand ** Rational(3, 2) - one + 18 * uz
     quotient = numerator.div_z().div_z() / 108
     return quotient - TruncSeries.from_poly(UPolynomial.u(power=2) / 2, order)
 
@@ -156,7 +156,7 @@ def one_cycle_exp_log_route(order: int) -> TruncSeries:
 
 def one_cycle_factor(order: int) -> TruncSeries:
     """(1 - 6wz)^(-1/2): graphs whose components are single cycles of trees."""
-    return _one_minus_6wz(order).sqrt().inverse()
+    return _one_minus_6wz(order) ** Rational(-1, 2)
 
 
 def multi_cycle_coefficient(n: int) -> Rational:
@@ -169,7 +169,7 @@ def multi_cycle_coefficient(n: int) -> Rational:
 def multi_cycle_factor(order: int) -> TruncSeries:
     """sum_n (6n)!/(2^(3n)(3n)!) * (1-6wz)^(-3n) * z^(2n)/(2n)!, a power series
     in P = z^2 (1-6wz)^(-3)."""
-    p = TruncSeries.monomial((2,), 1, order) * _one_minus_6wz(order).inverse() ** 3
+    p = TruncSeries.monomial((2,), 1, order) * _one_minus_6wz(order) ** -3
     total = TruncSeries.zero(order)
     for n, p_n in enumerate(p.powers()):
         total = total + multi_cycle_coefficient(n) * p_n
@@ -220,7 +220,7 @@ def hypergeom_form_check(terms: int) -> IdentityReport:
 
 def hypergeom_series_route(order: int) -> TruncSeries:
     """The hypergeometric sum evaluated at 54 z^2 / (1-6wz)^3 as a series."""
-    argument = TruncSeries.monomial((2,), 54, order) * _one_minus_6wz(order).inverse() ** 3
+    argument = TruncSeries.monomial((2,), 54, order) * _one_minus_6wz(order) ** -3
     total = TruncSeries.zero(order)
     for n, power in enumerate(argument.powers()):
         scalar = rising_factorial(Rational(1, 6), n) * rising_factorial(Rational(5, 6), n)

@@ -72,11 +72,6 @@ def iter_matchings(items: Tuple[int, ...]) -> Iterator[Pairs]:
             yield ((first, partner),) + sub
 
 
-def matching_fixed_points(items: Tuple[int, ...], pairs: Pairs) -> Tuple[int, ...]:
-    used = {v for pair in pairs for v in pair}
-    return tuple(v for v in items if v not in used)
-
-
 def enumerate_matchings(m: int) -> UPolynomial:
     """Weighted census sum u^(#fixed points) over all matchings of an m-set."""
     if not 0 <= m <= MATCHING_BOUND:

@@ -166,10 +166,6 @@ class UPolynomial:
                 out[(du - 1, dx)] = c * du
         return _make(out)
 
-    def int_u(self) -> "UPolynomial":
-        """Formal antiderivative in u with integration constant 0."""
-        return _make({(du + 1, dx): c / (du + 1) for (du, dx), c in self._coeffs.items()})
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:

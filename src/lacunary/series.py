@@ -20,8 +20,10 @@ appear only at the boundary: the constructor takes
 ``{(a,) or (a, b): polynomial in u}``, and ``coefficient((a, b))`` and
 ``items()`` give back the u-polynomial of y^b in part a+b.
 
-Inverse, square root, exp and log are computed by order-by-order coefficient
-recurrences on the homogeneous parts; with exact rationals these give the
+A power s^a for a negative int or a ``Rational`` a, exp and log are computed
+by order-by-order coefficient recurrences on the homogeneous parts.  The
+power's is J. C. P. Miller's, from the Euler operator E that multiplies part
+d by d: s * E(s^a) = a * s^a * E(s).  With exact rationals these give the
 mathematically exact coefficients up to the truncation order.  Division by
 the first series variable is deliberately not part of ``/``: it is the one
 operation that loses an order of information, so it is exposed as the
@@ -35,11 +37,11 @@ themselves; a shift such as z^(2n) belongs inside s, and no power is
 truncated by hand, since the kernel skips every degree pair above the order.
 
 Products run on one integer kernel whose single entry is ``_sum_products``,
-``scale * sum(w * x * y)`` over weighted products: ``*`` is one call, a
-recurrence one per degree, ``umbral`` one per M-degree.  Each operand (or
-homogeneous part) is *lifted* to ``int`` numerators over the lcm of its
-denominators; one operand of each product is scaled by an integer to a
-common denominator, the multiply-add loop adds pure ``int`` products into
+``scale * sum(w * x * y)`` over weighted products: ``*`` is one call, the
+power, exp and log recurrences one per degree, ``umbral`` one per M-degree.
+Each operand (or homogeneous part) is *lifted* to ``int`` numerators over the
+lcm of its denominators; one operand of each product is scaled by an integer
+to a common denominator, the multiply-add loop adds pure ``int`` products into
 sums keyed by (degree, (deg_u, deg_y)), and each sum is *lowered* once,
 with one gcd, back to a ``Rational``; sums that cancel are pruned.
 
@@ -239,11 +241,30 @@ class TruncSeries:
         q = Rational(scalar)
         return self * (1 / q)
 
-    def __pow__(self, k: int) -> "TruncSeries":
-        if not isinstance(k, int):
-            raise ValueError(f"series power must be an int, got {k!r}")
-        base = self if k >= 0 else self.inverse()
-        return _power(base, abs(k), TruncSeries.one(self.order, self.vars))
+    def __pow__(self, alpha) -> "TruncSeries":
+        """s^alpha for an int or ``Rational`` alpha = p/q: by repeated squaring for
+        an integer alpha >= 0, else by the power recurrence, which needs a nonzero
+        scalar constant c, and c = 1 when q > 1: g_0 = c^p and
+        g_d = 1/(q*d*c) * sum_{e=1..d} ((p+q)*e - q*d) * s_e * g_(d-e)."""
+        if not isinstance(alpha, (int, Rational)):
+            raise ValueError(f"series power must be an int or a Rational, got {alpha!r}")
+        p, q = alpha.numerator, alpha.denominator
+        if q == 1 and p >= 0:
+            return _power(self, p, TruncSeries.one(self.order, self.vars))
+        c0 = self.constant_coefficient()
+        if not c0.is_constant() or c0.is_zero() or (q > 1 and c0 != POLY_ONE):
+            raise ValueError(
+                f"power {alpha} needs a nonzero scalar constant term (1 if fractional), got {c0}"
+            )
+        c = c0.constant_value()
+        a = self._lifted_parts()
+        return self._recurrence(
+            UPolynomial.constant(c**p),
+            lambda d, g: (
+                [((p + q) * e - q * d, a[e], g[d - e]) for e in range(1, d + 1)],
+                1 / (q * d * c),
+            ),
+        )
 
     def powers(self) -> Iterator["TruncSeries"]:
         """1, s, s^2, ... up to the last nonzero power of s, which needs zero constant term."""
@@ -311,30 +332,6 @@ class TruncSeries:
             lifted.append(_lift(part))
         return _make(self.order, parts, self.vars)
 
-    def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant coefficient must be a nonzero scalar."""
-        c0 = self.constant_coefficient()
-        if not c0.is_constant() or c0.is_zero():
-            raise ValueError(f"inverse needs a unit scalar constant term, got {c0}")
-        c = c0.constant_value()
-        a = self._lifted_parts()
-        return self._recurrence(
-            UPolynomial.constant(1 / c),
-            lambda d, b: ([(1, b[e], a[d - e]) for e in range(d)], -1 / c),
-        )
-
-    def sqrt(self) -> "TruncSeries":
-        """Square root with constant term 1; requires constant coefficient 1."""
-        self._require_constant_one("sqrt")
-        a = self._lifted_parts()
-        return self._recurrence(
-            POLY_ONE,
-            lambda d, b: (
-                [(1, a[d], _LIFTED_ONE)] + [(-1, b[e], b[d - e]) for e in range(1, d)],
-                Rational(1, 2),
-            ),
-        )
-
     def exp(self) -> "TruncSeries":
         """Exponential of a series with zero constant coefficient."""
         if self.constant_coefficient():
@@ -347,7 +344,10 @@ class TruncSeries:
 
     def log(self) -> "TruncSeries":
         """Logarithm of a series with constant coefficient 1 (log has constant 0)."""
-        self._require_constant_one("log")
+        if self.constant_coefficient() != POLY_ONE:
+            raise ValueError(
+                f"log needs constant coefficient exactly 1, got {self.constant_coefficient()}"
+            )
         a = self._lifted_parts()
         return self._recurrence(
             POLY_ZERO,
@@ -356,12 +356,6 @@ class TruncSeries:
                 Rational(1, d),
             ),
         )
-
-    def _require_constant_one(self, opname: str) -> None:
-        if self.constant_coefficient() != POLY_ONE:
-            raise ValueError(
-                f"{opname} needs constant coefficient exactly 1, got {self.constant_coefficient()}"
-            )
 
     # -- rendering ----------------------------------------------------------
 

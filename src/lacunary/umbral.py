@@ -189,7 +189,7 @@ def verify_lemma_fm_ii(order: int) -> IdentityReport:
     """Moment series of M^2:  eval(e^(M^2 z)) = (1 - 2z)^(-1/2)."""
     z = TruncSeries.variable("z", order)
     lhs = umbral_eval(exp_of_m_power(z, 2))
-    rhs = (TruncSeries.one(order) - 2 * z).sqrt().inverse()
+    rhs = (TruncSeries.one(order) - 2 * z) ** Rational(-1, 2)
     return compare_series("lemma-fm-ii", order, lhs, rhs)
 
 
@@ -200,23 +200,21 @@ def verify_corollary_and_ecor(order: int) -> IdentityReport:
     (b) eval(e^(M^2 z + M^3 x)) = (1-2z)^(-1/2) * sum_n m_moment(3n)/n! * x^n (1-2z)^(-3n/2)
 
     The sum in (b) is a power series in Q = x (1-2z)^(-3/2), summed over
-    ``Q.powers()``.  Fractional powers never appear: Q is formed from the one
-    square root sqrt(1-2z) by integer powers of its inverse.
+    ``Q.powers()``; each power of 1 - 2z is one run of the series power recurrence.
     """
     vars, z, x = _two_var(order)
-    one = TruncSeries.one(order, vars)
     exp_m2z = exp_of_m_power(z, 2)
-    inv = (one - 2 * z).inverse()
-    inv_sqrt = (one - 2 * z).sqrt().inverse()
+    base = TruncSeries.one(order, vars) - 2 * z
+    inv_sqrt = base ** Rational(-1, 2)
 
     lhs_a = umbral_eval(exp_m2z * exp_of_linear_M(x))
-    rhs_a = inv_sqrt * ((x * x) * inv / 2).exp()
+    rhs_a = inv_sqrt * ((x * x) * base**-1 / 2).exp()
     report = compare_series("corollary", order, lhs_a, rhs_a)
     if not report.verified:
         return IdentityReport("corollary-ecor", order, report.mismatch)
 
     lhs_b = umbral_eval(exp_m2z * exp_of_m_power(x, 3))
-    q = x * inv_sqrt**3
+    q = x * base ** Rational(-3, 2)
     acc = TruncSeries.zero(order, vars)
     for n, q_n in enumerate(q.powers()):
         moment = m_moment(3 * n)

@@ -16,11 +16,16 @@ from lacunary.oracle import (
     iter_marked_graphs,
     iter_matchings,
     iter_w_trees,
-    matching_fixed_points,
 )
 from lacunary.poly import UPolynomial
 
-from helpers import canonical_w_tree, fixed_slots, iter_w_tree_drawings, reduced_edges
+from helpers import (
+    canonical_w_tree,
+    fixed_slots,
+    iter_w_tree_drawings,
+    matching_fixed_points,
+    reduced_edges,
+)
 
 
 def test_matchings_are_involutions():

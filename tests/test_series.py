@@ -1,4 +1,4 @@
-"""Truncated-series ring operations and the coefficient recurrences."""
+"""Truncated-series ring operations, powers and the coefficient recurrences."""
 
 import math
 from fractions import Fraction
@@ -63,12 +63,12 @@ def test_mul_incompatible_vars():
 
 
 def test_inverse_geometric():
-    assert (one(3) - z(3)).inverse() == TruncSeries(3, {(n,): UPolynomial.one() for n in range(4)})
+    assert (one(3) - z(3)) ** -1 == TruncSeries(3, {(n,): UPolynomial.one() for n in range(4)})
 
 
 def test_inverse_poly_then_mul_back():
     a = one(2) - u_z(2, coeff=6)
-    inv = a.inverse()
+    inv = a**-1
     assert inv == TruncSeries(
         2, {(0,): UPolynomial.one(), (1,): UPolynomial.u(coeff=6), (2,): UPolynomial.u(power=2, coeff=36)}
     )
@@ -76,27 +76,27 @@ def test_inverse_poly_then_mul_back():
 
 
 def test_inverse_of_one():
-    assert one(4).inverse() == one(4)
+    assert one(4) ** -1 == one(4)
 
 
 def test_inverse_scaled_unit():
     a = 2 * one(3) - z(3)
-    assert a.inverse() * a == one(3)
+    assert a**-1 * a == one(3)
 
 
 def test_inverse_rejects_non_unit_constant():
     with pytest.raises(ValueError):
-        z(3).inverse()
+        z(3) ** -1
     with pytest.raises(ValueError):
-        (one(3) + TruncSeries.from_poly(UPolynomial.u() - UPolynomial.one(), 3)).inverse()
+        (one(3) + TruncSeries.from_poly(UPolynomial.u() - UPolynomial.one(), 3)) ** -1
 
 
 def test_sqrt_of_one():
-    assert one(4).sqrt() == one(4)
+    assert one(4) ** Rational(1, 2) == one(4)
 
 
 def test_sqrt_frozen_values():
-    got = (one(2) - 2 * z(2)).sqrt()
+    got = (one(2) - 2 * z(2)) ** Rational(1, 2)
     expected = TruncSeries(
         2,
         {(0,): UPolynomial.one(), (1,): UPolynomial.constant(-1), (2,): UPolynomial.constant(Rational(-1, 2))},
@@ -104,7 +104,7 @@ def test_sqrt_frozen_values():
     assert got == expected
     assert got * got == one(2) - 2 * z(2)
 
-    got2 = (one(2) - u_z(2, coeff=12)).sqrt()
+    got2 = (one(2) - u_z(2, coeff=12)) ** Rational(1, 2)
     expected2 = TruncSeries(
         2, {(0,): UPolynomial.one(), (1,): UPolynomial.u(coeff=-6), (2,): UPolynomial.u(power=2, coeff=-18)}
     )
@@ -114,7 +114,7 @@ def test_sqrt_frozen_values():
 
 def test_sqrt_rejects_constant_not_one():
     with pytest.raises(ValueError):
-        (4 * one(3)).sqrt()  # only constant term exactly 1 is supported
+        (4 * one(3)) ** Rational(1, 2)  # only constant term exactly 1 is supported
 
 
 def test_exp_of_z():
@@ -157,20 +157,37 @@ def test_pow_int():
     )
     assert (one(3) - z(3)) ** -2 == TruncSeries(3, {(n,): n + 1 for n in range(4)})
     s = random_series(make_rng(101), order=3)
-    assert s**0 == one(3)
+    assert s**0 == s ** Rational(0) == one(3)
+    assert z(3) ** Rational(2) == z(3) ** 2  # an integral Rational on a zero constant
     rng = make_rng(102)
     for vars in (("z",), ("z", "x")):
         s = random_unit_series(rng, 4, vars) * Rational(-3, 2)
         assert s**0 == one(4, vars)
         assert s**1 == s
         assert s**5 == s * s * s * s * s
-        assert s**-1 == s.inverse()
-        assert s**-3 == s.inverse() * s.inverse() * s.inverse()
+        assert s ** Rational(2) == s**2
+        assert s**-1 * s == one(4, vars)
+        assert s**-3 == (s**-1) ** 3
+        assert s**-3 * s**3 == one(4, vars)
 
 
 def test_pow_negative_needs_unit_constant():
     with pytest.raises(ValueError):
         z(3) ** -1
+
+
+def test_pow_rejects_bad_constant_and_float_exponent():
+    u = TruncSeries.from_poly(UPolynomial.u(), 3)
+    for alpha in (-3, Rational(-1, 2), Rational(2, 3)):
+        with pytest.raises(ValueError, match="constant term"):
+            z(3) ** alpha  # a zero constant
+        with pytest.raises(ValueError, match="constant term"):
+            (u + z(3)) ** alpha  # a constant u
+    with pytest.raises(ValueError, match="constant term"):
+        (2 * one(3) + z(3)) ** Rational(1, 2)
+    for alpha in (0.5, 2.0, -1.0):
+        with pytest.raises(ValueError, match="int or a Rational"):
+            (one(3) + z(3)) ** alpha
 
 
 def test_coefficient_extraction():
@@ -285,9 +302,9 @@ def test_truncation_consistency_randomized():
 # -- the integer kernel against a schoolbook Fraction reference ----------------
 #
 # The reference works on plain {exponents: {(deg_u, deg_x): Fraction}} dicts
-# read through items(), and builds inverse, sqrt, exp and log as truncated
-# sums of powers (geometric, binomial and exponential series), not by the
-# kernel's degree-by-degree recurrences.
+# read through items(), and builds powers, exp and log as truncated sums of
+# powers (binomial, exponential and logarithmic series), not by the kernel's
+# degree-by-degree recurrences.
 
 
 def plain(s):
@@ -341,17 +358,17 @@ def ref_constant(a, nvars):
     return a.get((0,) * nvars, {}).get((0, 0), Fraction(0))
 
 
-def ref_inverse(a, order, nvars):
+def ref_power(a, alpha, order, nvars):
+    """c^alpha * sum_k binom(alpha, k) * g^k with g = a/c - 1, for a's constant c."""
+    alpha = Fraction(alpha)
     c = ref_constant(a, nvars)
+    assert alpha.denominator == 1 or c == 1  # c^alpha stays rational
     monic = {e: {k: v / c for k, v in p.items()} for e, p in a.items()}
     g = ref_add(monic, ref_one(nvars), Fraction(-1))
-    return ref_power_sum(g, lambda k: Fraction((-1) ** k) / c, order, nvars)
+    def binom(k):
+        return math.prod((alpha - i for i in range(k)), start=Fraction(1)) / math.factorial(k)
 
-
-def ref_sqrt(a, order, nvars):
-    g = ref_add(a, ref_one(nvars), Fraction(-1))
-    binom = lambda k: math.prod(Fraction(1, 2) - i for i in range(k)) / math.factorial(k)
-    return ref_power_sum(g, binom, order, nvars)
+    return ref_power_sum(g, lambda k: c**alpha.numerator * binom(k), order, nvars)
 
 
 def ref_exp(f, order, nvars):
@@ -388,15 +405,22 @@ def test_kernel_mul_matches_schoolbook():
         assert plain(a * b) == ref_mul(plain(a), plain(b), order)
 
 
+POWER_EXPONENTS = (-3, -2, -1) + tuple(
+    Rational(p, q) for p, q in ((-3, 2), (-1, 2), (1, 2), (3, 2), (2, 3))
+)
+
+
 def test_kernel_recurrences_match_schoolbook():
+    """Integer powers of scaled constants, the others of constant 1; one and two variables."""
     rng = make_rng(201)
     for a, _ in kernel_cases():
         order, nvars = a.order, len(a.vars)
         zc = a - TruncSeries.from_poly(a.constant_coefficient(), order, a.vars)
         unit = TruncSeries.one(order, a.vars) + zc
         scaled = unit * Rational(rng.choice([-5, -2, 3, 7]), rng.randint(1, 9))
-        assert plain(scaled.inverse()) == ref_inverse(plain(scaled), order, nvars)
-        assert plain(unit.sqrt()) == ref_sqrt(plain(unit), order, nvars)
+        for alpha in POWER_EXPONENTS:
+            base = scaled if isinstance(alpha, int) else unit
+            assert plain(base**alpha) == ref_power(plain(base), alpha, order, nvars)
         assert plain(zc.exp()) == ref_exp(plain(zc), order, nvars)
         assert plain(unit.log()) == ref_log(plain(unit), order, nvars)
 
