@@ -27,7 +27,6 @@ from .identities import (
 )
 from .oracle import (
     ComponentCensus,
-    MarkedGraph,
     enumerate_marked_graphs,
     enumerate_matchings,
     enumerate_w_trees,
@@ -38,7 +37,6 @@ from .report import IdentityReport, Mismatch
 from .series import TruncSeries
 from .umbral import (
     MExpression,
-    exp_of_linear_M,
     exp_of_m_power,
     umbral_eval,
     verify_corollary_and_ecor,
@@ -51,7 +49,6 @@ __all__ = [
     "HermiteKind",
     "IdentityReport",
     "MExpression",
-    "MarkedGraph",
     "Mismatch",
     "Rational",
     "TruncSeries",
@@ -60,7 +57,6 @@ __all__ = [
     "enumerate_marked_graphs",
     "enumerate_matchings",
     "enumerate_w_trees",
-    "exp_of_linear_M",
     "exp_of_m_power",
     "factor_census_check",
     "hermite_H",

@@ -23,18 +23,21 @@ the bitmask of later slots already matched, and each vertex's component
 (named by first occurrence) with that component's cyclomatic number capped
 at 2.  A state's result is the ``Counter`` of profile-key increments over
 every way to finish from it, so each state is visited once however many
-matchings reach it.  ``MarkedGraph.component_profile``, a union-find on one
-graph, is its oracle.
+matchings reach it.  The test suite's union-find on each single graph is its
+oracle.
 
 w-trees.  A w-tree is a rooted tree whose internal vertices are labeled and
 trivalent with half-edges marked a/b/c, whose leaves are unlabeled, and
 whose root half-edge is unmatched.  The two subtrees under an internal
 vertex hang off half-edges with distinct marks, so ordering children by
 mark is a canonical form for the 2-per-vertex child-order symmetry of plane
-drawings.  ``iter_w_trees`` generates exactly the canonical drawings (each
-tree once) from memoized subtree lists.  ``enumerate_w_trees`` generates
-and checks them up to n = 4; at n = 5 it multiplies the subtree list
-lengths instead of yielding the trees.
+drawings.  ``_iter_canonical`` generates exactly the canonical drawings (each
+tree once) from memoized subtree lists.  ``enumerate_w_trees`` has one count
+path for every n: it multiplies the subtree list lengths instead of yielding
+the trees.
+
+Census check.  ``factor_census_check`` compares the census, component profile
+by component profile, with the exponential formula over the series factors.
 """
 
 from __future__ import annotations
@@ -86,66 +89,6 @@ def enumerate_matchings(m: int) -> UPolynomial:
 # -- marked trivalent graphs ---------------------------------------------------
 
 
-class MarkedGraph:
-    """n labeled trivalent vertices plus a matching of their 3n half-edge slots."""
-
-    __slots__ = ("n", "pairs")
-
-    def __init__(self, n: int, pairs: Pairs):
-        used = [v for pair in pairs for v in pair]
-        if len(set(used)) != len(used):
-            raise ValueError("a half-edge slot is used twice")
-        if any(not 0 <= s < 3 * n for s in used):
-            raise ValueError("half-edge slot out of range")
-        self.n, self.pairs = n, pairs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MarkedGraph) and (self.n, self.pairs) == (other.n, other.pairs)
-
-    def __hash__(self):
-        return hash((self.n, self.pairs))
-
-    def weight_exponent(self) -> int:
-        """Number of u-weighted monovalent leaves."""
-        return 3 * self.n - 2 * len(self.pairs)
-
-    def component_profile(self) -> Tuple[int, int, int]:
-        return _component_profile(self.n, self.pairs)
-
-
-def _component_profile(n: int, pairs: Pairs) -> Tuple[int, int, int]:
-    """(#acyclic, #unicyclic, #multicyclic) components of the reduced multigraph."""
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for s, t in pairs:
-        ru, rv = find(s // 3), find(t // 3)
-        if ru != rv:
-            parent[ru] = rv
-    vertices = [0] * n
-    edges = [0] * n
-    for v in range(n):
-        vertices[find(v)] += 1
-    for s, t in pairs:
-        edges[find(s // 3)] += 1
-    acyclic = unicyclic = multicyclic = 0
-    for v in range(n):
-        if find(v) == v:
-            cycles = edges[v] - vertices[v] + 1  # cyclomatic number, loops included
-            if cycles == 0:
-                acyclic += 1
-            elif cycles == 1:
-                unicyclic += 1
-            else:
-                multicyclic += 1
-    return (acyclic, unicyclic, multicyclic)
-
-
 class ComponentCensus(NamedTuple):
     """Weighted graph counts keyed by component-class profile."""
 
@@ -158,32 +101,11 @@ class ComponentCensus(NamedTuple):
             out = out + poly
         return out
 
-    def _restricted(self, keep) -> UPolynomial:
-        out = UPolynomial.zero()
-        for profile, poly in self.by_profile.items():
-            if keep(profile):
-                out = out + poly
-        return out
-
-    def all_acyclic(self) -> UPolynomial:
-        return self._restricted(lambda p: p[1] == 0 and p[2] == 0)
-
-    def all_unicyclic(self) -> UPolynomial:
-        return self._restricted(lambda p: p[0] == 0 and p[2] == 0)
-
-    def all_multicyclic(self) -> UPolynomial:
-        return self._restricted(lambda p: p[0] == 0 and p[1] == 0)
-
     def to_dict(self) -> dict:
         return {
             ",".join(map(str, profile)): str(self.by_profile[profile])
             for profile in sorted(self.by_profile)
         }
-
-
-def iter_marked_graphs(n: int) -> Iterator[MarkedGraph]:
-    for pairs in iter_matchings(tuple(range(3 * n))):
-        yield MarkedGraph(n, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -254,6 +176,12 @@ def _splits(rest: Tuple[int, ...]) -> Iterator[Tuple[tuple, tuple]]:
 
 
 def _iter_canonical(labels: Tuple[int, ...]) -> Iterator[tuple]:
+    """Each distinct w-tree on the sorted ``labels`` exactly once, as its canonical drawing.
+
+    The two child half-edges of an internal vertex carry the two marks other
+    than the root-facing one, in alphabetical order: left gets the smaller
+    mark.  Because the marks differ, this fixes one drawing per tree.
+    """
     if not labels:
         yield LEAF
         return
@@ -272,33 +200,18 @@ def _w_tree_lists(labels: Tuple[int, ...]) -> tuple:
     return tuple(_iter_canonical(labels))
 
 
-def iter_w_trees(labels: Tuple[int, ...]) -> Iterator[tuple]:
-    """Each distinct w-tree exactly once, as its canonical drawing.
-
-    The two child half-edges of an internal vertex carry the two marks other
-    than the root-facing one, in alphabetical order: left gets the smaller
-    mark.  Because the marks differ, this fixes one drawing per tree; only
-    the subtree lists are memoized, so the full top-level list is never
-    materialized.
-    """
-    yield from _iter_canonical(tuple(sorted(labels)))
-
-
 def enumerate_w_trees(n: int) -> int:
     """Count distinct w-trees with n internal vertices.
 
-    Up to n = 4 the trees are generated and checked for duplicates; at n = 5
-    the count multiplies the lengths of the subtree lists under each root, mark
-    and split, the pairs ``iter_w_trees`` would yield.
+    The count multiplies the lengths of the subtree lists under each root, mark
+    and split, the pairs ``_iter_canonical`` would yield, so the top-level list
+    is never materialized.
     """
     if not 0 <= n <= W_TREE_BOUND:
         raise ValueError(f"w-tree enumeration supports 0 <= n <= {W_TREE_BOUND}, got {n}")
+    if n == 0:
+        return 1  # the lone leaf
     labels = tuple(range(n))
-    if n <= 4:
-        trees = list(iter_w_trees(labels))
-        if len(set(trees)) != len(trees):
-            raise AssertionError("canonical w-tree generation produced a duplicate")
-        return len(trees)
     return len(MARKS) * sum(
         len(_w_tree_lists(left)) * len(_w_tree_lists(right))
         for root in labels
@@ -346,29 +259,39 @@ class CensusCheckReport(NamedTuple):
 
 
 def factor_census_check(n_max: int) -> CensusCheckReport:
-    """Compare the graph census, class by class, with the series factors.
+    """Compare the graph census, profile by profile, with the exponential formula.
 
-    For each n <= n_max the all-acyclic, all-unicyclic and all-multicyclic
-    graph classes must have exponential generating functions exp(T),
-    (1-6wz)^(-1/2) and the multi-cycle sum, and the total census must be
-    h_{3n}(u).  Mismatches are collected, not raised.
+    The connected acyclic, unicyclic and multicyclic components have
+    exponential generating functions A = T, B = log(one-cycle factor) and
+    C = log(multi-cycle factor).  So for each n <= n_max, the graphs with a
+    profile (a, b, c), a + b + c <= n, number n!/(a! b! c!) [z^n] A^a B^b C^c
+    (an absent profile counts 0), and the total census is h_{3n}(u).
+    Mismatches are collected, not raised.
     """
     if not 0 <= n_max <= MARKED_GRAPH_BOUND:
         raise ValueError(f"census check supports 0 <= n_max <= {MARKED_GRAPH_BOUND}, got {n_max}")
-    forest_gf = identities.tree_gf(n_max).exp()
-    one_cycle = identities.one_cycle_factor(n_max)
-    multi_cycle = identities.multi_cycle_factor(n_max)
+    component_gfs = (
+        identities.tree_gf(n_max),
+        identities.one_cycle_factor(n_max).log(),
+        identities.multi_cycle_factor(n_max).log(),
+    )
+    # X^k/k! for each class; the list stops at the last nonzero power
+    scaled_powers = [
+        [power / math.factorial(k) for k, power in enumerate(gf.powers())] for gf in component_gfs
+    ]
+    formula = {
+        (a, b, c): pa * pb * pc
+        for (a, pa), (b, pb), (c, pc) in itertools.product(*map(enumerate, scaled_powers))
+        if a + b + c <= n_max
+    }
     entries = []
     for n in range(n_max + 1):
-        scale = math.factorial(n)
         census = enumerate_marked_graphs(n)
-        for factor, census_poly, series in (
-            ("acyclic", census.all_acyclic(), forest_gf),
-            ("unicyclic", census.all_unicyclic(), one_cycle),
-            ("multicyclic", census.all_multicyclic(), multi_cycle),
-        ):
-            entries.append(
-                CensusCheckEntry(n, factor, census_poly, series.coefficient((n,)) * scale)
-            )
+        for profile in itertools.product(range(n + 1), repeat=3):
+            if sum(profile) <= n:
+                series = formula.get(profile)
+                expected = series.coefficient((n,)) * math.factorial(n) if series else POLY_ZERO
+                graphs = census.by_profile.get(profile, POLY_ZERO)
+                entries.append(CensusCheckEntry(n, ",".join(map(str, profile)), graphs, expected))
         entries.append(CensusCheckEntry(n, "total", census.total(), hermite_h(3 * n)))
     return CensusCheckReport(n_max, tuple(entries))

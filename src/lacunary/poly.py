@@ -154,6 +154,9 @@ class UPolynomial:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as one
+        if self.is_constant():
+            return hash(self.coefficient(0, 0))
         return hash(frozenset(self._coeffs.items()))
 
     # -- calculus in u -----------------------------------------------------

@@ -188,16 +188,10 @@ class TruncSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_compatible(self, other: "TruncSeries") -> int:
-        if self.vars != other.vars:
-            raise ValueError(f"incompatible variable sets {self.vars} vs {other.vars}")
-        return min(self.order, other.order)
-
     def __add__(self, other) -> "TruncSeries":
-        other = self._coerce(other)
+        other, order = _operand(other, self.order, self.vars)
         if other is NotImplemented:
             return NotImplemented
-        order = self._check_compatible(other)
         out = {d: p for d, p in self._parts.items() if d <= order}
         for d, p in other._parts.items():
             if d > order:
@@ -216,22 +210,21 @@ class TruncSeries:
         return _make(self.order, {d: -p for d, p in self._parts.items()}, self.vars)
 
     def __sub__(self, other) -> "TruncSeries":
-        other = self._coerce(other)
+        other, _ = _operand(other, self.order, self.vars)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncSeries":
-        other = self._coerce(other)
+        other, _ = _operand(other, self.order, self.vars)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __mul__(self, other) -> "TruncSeries":
-        other = self._coerce(other)
+        other, order = _operand(other, self.order, self.vars)
         if other is NotImplemented:
             return NotImplemented
-        order = self._check_compatible(other)
         products = [(1, _lift(self._parts), _lift(other._parts))]
         return _make(order, _sum_products(products, order), self.vars)
 
@@ -272,15 +265,6 @@ class TruncSeries:
             raise ValueError("powers need a series with zero constant term")
         one = TruncSeries.one(self.order, self.vars)
         return takewhile(bool, accumulate(repeat(self, self.order), mul, initial=one))
-
-    def _coerce(self, value) -> "TruncSeries":
-        if isinstance(value, TruncSeries):
-            return value
-        if isinstance(value, UPolynomial):
-            return TruncSeries.from_poly(value, self.order, self.vars)
-        if isinstance(value, (int, Rational)):
-            return TruncSeries.from_poly(UPolynomial.constant(value), self.order, self.vars)
-        return NotImplemented
 
     # -- truncation and reshaping ------------------------------------------
 
@@ -378,6 +362,25 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"TruncSeries(order={self.order}, vars={self.vars}, {self})"
+
+
+def _operand(value, order: int, vars: tuple) -> tuple:
+    """``value`` as a series beside a series or M-expression of ``order`` and
+    ``vars``, with the order of their sum or product.
+
+    A constant (an int, ``Rational`` or ``UPolynomial``) becomes a constant
+    series of ``order``; a series must have the same ``vars``.  Anything else
+    gives (NotImplemented, None).
+    """
+    if isinstance(value, TruncSeries):
+        if value.vars != vars:
+            raise ValueError(f"incompatible variable sets {vars} vs {value.vars}")
+        return value, min(order, value.order)
+    if isinstance(value, (int, Rational)):
+        value = UPolynomial.constant(value)
+    if isinstance(value, UPolynomial):
+        return TruncSeries.from_poly(value, order, vars), order
+    return NotImplemented, None
 
 
 def _make(order, parts, vars) -> TruncSeries:

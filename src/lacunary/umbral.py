@@ -24,7 +24,7 @@ from typing import Mapping
 from .hermite import m_moment
 from .poly import _power
 from .report import IdentityReport, compare_series
-from .series import _LIFTED_ONE, TruncSeries, _lift, _make, _sum_products
+from .series import _LIFTED_ONE, TruncSeries, _lift, _make, _operand, _sum_products
 
 
 class MExpression:
@@ -87,19 +87,19 @@ class MExpression:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, value) -> "MExpression":
+    def _coerce(self, value) -> tuple:
+        """``_operand`` of ``value``, a series or constant joining as M-degree 0."""
         if isinstance(value, MExpression):
-            return value
-        # TruncSeries._coerce reads only the order and vars of its first argument.
-        series = TruncSeries._coerce(self, value)
-        return NotImplemented if series is NotImplemented else MExpression({0: series})
+            # an expression has the order and vars of its coefficients
+            _, order = _operand(value.coefficient(0), self.order, self.vars)
+            return value, order
+        series, order = _operand(value, self.order, self.vars)
+        return (series if series is NotImplemented else MExpression({0: series})), order
 
     def __add__(self, other) -> "MExpression":
-        other = self._coerce(other)
+        other, order = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # TruncSeries._check_compatible reads only the order and vars of both.
-        order = TruncSeries._check_compatible(self, other)
         out = {0: TruncSeries.zero(order, self.vars)}
         for expr in (self, other):
             for d, series in expr._coeffs.items():
@@ -113,16 +113,15 @@ class MExpression:
         return MExpression(out) if out else self
 
     def __sub__(self, other) -> "MExpression":
-        other = self._coerce(other)
+        other, _ = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "MExpression":
-        other = self._coerce(other)
+        other, order = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        order = TruncSeries._check_compatible(self, other)
         lifted_b = [(db, _lift(sb._parts)) for db, sb in other._coeffs.items()]
         groups: dict[int, list] = {0: []}  # so a zero product keeps its order and vars
         for da, sa in self._coeffs.items():
@@ -162,11 +161,6 @@ def exp_of_m_power(s: TruncSeries, power: int) -> MExpression:
     )
 
 
-def exp_of_linear_M(s: TruncSeries) -> MExpression:
-    """exp(M * s), the linear-exponent special case."""
-    return exp_of_m_power(s, 1)
-
-
 # -- executable identity checks ---------------------------------------------
 
 
@@ -180,8 +174,8 @@ def _two_var(order: int):
 def verify_lemma_fm_i(order: int) -> IdentityReport:
     """Shift rule at f(t)=e^(t*x):  eval(e^(Mz) e^(Mx)) = e^(z^2/2) e^(zx) eval(e^(Mx))."""
     _, z, x = _two_var(order)
-    lhs = umbral_eval(exp_of_linear_M(z) * exp_of_linear_M(x))
-    rhs = ((z * z) / 2).exp() * (z * x).exp() * umbral_eval(exp_of_linear_M(x))
+    lhs = umbral_eval(exp_of_m_power(z, 1) * exp_of_m_power(x, 1))
+    rhs = ((z * z) / 2).exp() * (z * x).exp() * umbral_eval(exp_of_m_power(x, 1))
     return compare_series("lemma-fm-i", order, lhs, rhs)
 
 
@@ -207,7 +201,7 @@ def verify_corollary_and_ecor(order: int) -> IdentityReport:
     base = TruncSeries.one(order, vars) - 2 * z
     inv_sqrt = base ** Rational(-1, 2)
 
-    lhs_a = umbral_eval(exp_m2z * exp_of_linear_M(x))
+    lhs_a = umbral_eval(exp_m2z * exp_of_m_power(x, 1))
     rhs_a = inv_sqrt * ((x * x) * base**-1 / 2).exp()
     report = compare_series("corollary", order, lhs_a, rhs_a)
     if not report.verified:

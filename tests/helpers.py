@@ -5,10 +5,12 @@ fixed-seed generator and asserts the property on every one, so the module
 tests can run a few hundred and the acceptance gate can demand a thousand
 without duplicating logic.
 
-The helpers at the end are test-only: the antiderivative in u, and views
-of brute-force objects (the fixed points of a matching, the slots and edges
-of a marked graph, and every plane drawing of the w-trees together with the
-quotient that recovers the canonical ones).
+The helpers at the end are test-only: the antiderivative in u, the
+per-graph model of a marked graph with its union-find component profile (the
+oracle of the census walk), views of brute-force objects (the fixed points
+of a matching, the slots and edges of a marked graph), and every plane
+drawing of the w-trees together with the quotient that recovers the
+canonical ones.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import random
 from lacunary import Rational
 from lacunary.poly import UPolynomial
 from lacunary.series import TruncSeries
-from lacunary.oracle import LEAF, MARKS, MarkedGraph
+from lacunary.oracle import LEAF, MARKS, iter_matchings
 from lacunary.umbral import MExpression, umbral_eval
 
 SEED = 20260811
@@ -186,6 +188,74 @@ def check_rational_roundtrip(count: int) -> None:
 def int_u(p: UPolynomial) -> UPolynomial:
     """Formal antiderivative in u with integration constant 0."""
     return UPolynomial({(du + 1, dx): c / (du + 1) for (du, dx), c in p.items()})
+
+
+# -- marked graphs, one at a time ------------------------------------------------
+
+
+class MarkedGraph:
+    """n labeled trivalent vertices plus a matching of their 3n half-edge slots."""
+
+    __slots__ = ("n", "pairs")
+
+    def __init__(self, n: int, pairs: tuple):
+        used = [v for pair in pairs for v in pair]
+        if len(set(used)) != len(used):
+            raise ValueError("a half-edge slot is used twice")
+        if any(not 0 <= s < 3 * n for s in used):
+            raise ValueError("half-edge slot out of range")
+        self.n, self.pairs = n, pairs
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MarkedGraph) and (self.n, self.pairs) == (other.n, other.pairs)
+
+    def __hash__(self):
+        return hash((self.n, self.pairs))
+
+    def weight_exponent(self) -> int:
+        """Number of u-weighted monovalent leaves."""
+        return 3 * self.n - 2 * len(self.pairs)
+
+    def component_profile(self) -> tuple:
+        return _component_profile(self.n, self.pairs)
+
+
+def _component_profile(n: int, pairs: tuple) -> tuple:
+    """(#acyclic, #unicyclic, #multicyclic) components of the reduced multigraph."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for s, t in pairs:
+        ru, rv = find(s // 3), find(t // 3)
+        if ru != rv:
+            parent[ru] = rv
+    vertices = [0] * n
+    edges = [0] * n
+    for v in range(n):
+        vertices[find(v)] += 1
+    for s, t in pairs:
+        edges[find(s // 3)] += 1
+    acyclic = unicyclic = multicyclic = 0
+    for v in range(n):
+        if find(v) == v:
+            cycles = edges[v] - vertices[v] + 1  # cyclomatic number, loops included
+            if cycles == 0:
+                acyclic += 1
+            elif cycles == 1:
+                unicyclic += 1
+            else:
+                multicyclic += 1
+    return (acyclic, unicyclic, multicyclic)
+
+
+def iter_marked_graphs(n: int):
+    for pairs in iter_matchings(tuple(range(3 * n))):
+        yield MarkedGraph(n, pairs)
 
 
 # -- oracle views --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI surface: output grammar, JSON stability, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -205,6 +206,25 @@ def test_oracle_graphs(capsys):
     assert payload["check"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "builder, n, named",
+    [("tree_gf", 3, "n=3 1,0,0"), ("multi_cycle_factor", 2, "n=2 0,0,1")],
+    ids=("tree-gf", "multi-cycle"),
+)
+def test_census_check_names_the_profile_of_a_wrong_factor(capsys, monkeypatch, builder, n, named):
+    """A factor one off at z^n fails the census check at the profile it builds."""
+    exact = getattr(cli.oracle.identities, builder)
+    monkeypatch.setattr(
+        cli.oracle.identities,
+        builder,
+        lambda order: exact(order) + TruncSeries.monomial((n,), UPolynomial.one(), order),
+    )
+    code, out = run_cli(capsys, "oracle", "graphs", "--n", str(n))
+    assert code == 1
+    assert f"factor census check (n <= {n}): fail" in out
+    assert any(line.startswith(f"  {named}: census ") for line in out.splitlines())
+
+
 def test_oracle_out_of_bounds(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["oracle", "wtrees", "--n", "9"])
@@ -220,6 +240,48 @@ def test_json_output_is_byte_stable(capsys):
     assert len(outputs) == 1
     coefficients = json.loads(next(iter(outputs)))["coefficients"]
     assert list(coefficients) == ["z^0", "z^1", "z^2", "z^3"]
+
+
+# The first 16 hex digits of sha256("<exit code>\n<stdout>") for
+# `oracle <target> --n 0, 1, ...`: the CLI output is byte-stable, and a change
+# to any of these bytes must be deliberate.
+PINNED_ORACLE_OUTPUT = {
+    ("graphs", "text"): [
+        "2de68817b08d4ab8", "c2ad96de6a8a442e", "ade0b72375be92f9", "9a9f673ab7a26edd",
+        "3cc6ac8f38c89b25",
+    ],
+    ("graphs", "json"): [
+        "aab9ef8a621d7564", "8aad9c7995233da7", "48b957d6ca4a01c0", "eba2a4a9a0652c0d",
+        "361698cf1d92b22d",
+    ],
+    ("wtrees", "text"): [
+        "82c1315e6c757f33", "b9490968067ba44d", "31e8fdb170ffab7f", "bb08011cede3a783",
+        "c39fef75156197c4", "c00453330006bedc",
+    ],
+    ("wtrees", "json"): [
+        "100a579e4c6cc327", "0da9e4d0e0a4d473", "d6fcd192869c2b3e", "f81b92dc7b9d6354",
+        "e8c50109b2b649b3", "9a044a7ef815f7bd",
+    ],
+    ("matchings", "text"): [
+        "82c1315e6c757f33", "e5fadfdd38424438", "1476a00ecf8d4807", "a040c7f897287342",
+        "a52eecc2e6b3500c", "1bdbe328861f33d1", "b7a16fbd1c9748e5", "3658f75eee3f027f",
+        "5031483e72a2cf5b", "2c4ac859d19fe275", "3777a368dac7ebbd",
+    ],
+    ("matchings", "json"): [
+        "a98206c4838fb3ed", "31507397ca2c4783", "3ecb3fd29a5c89ef", "dbd1262374808a4c",
+        "295188d73aa4d3e8", "367cf9f20f3126f5", "3e2ccc2ca3e83e4d", "266947f640e04d84",
+        "6dc95f37714db182", "c91c402345d5a958", "34d69996b14e2511",
+    ],
+}
+
+
+@pytest.mark.parametrize("target, fmt", sorted(PINNED_ORACLE_OUTPUT))
+def test_oracle_output_is_pinned(capsys, target, fmt):
+    digests = []
+    for n in range(len(PINNED_ORACLE_OUTPUT[target, fmt])):
+        code, out = run_cli(capsys, "--format", fmt, "oracle", target, "--n", str(n))
+        digests.append(hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()[:16])
+    assert digests == PINNED_ORACLE_OUTPUT[target, fmt]
 
 
 def _child_env(**overrides):

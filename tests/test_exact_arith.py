@@ -77,6 +77,14 @@ def test_constant_value():
         U.constant_value()
 
 
+def test_constant_hashes_as_its_scalar():
+    # equal values hash alike, so a constant and its scalar are one set member
+    assert ONE == 1 and len({ONE, 1}) == 1
+    assert hash(UPolynomial.constant(Rational(-3, 2))) == hash(Rational(-3, 2))
+    assert {UPolynomial.zero(): "zero"}[0] == "zero"
+    assert len({U, X, ONE}) == 3
+
+
 def test_coefficient_lookup():
     p = 3 * U + ONE
     assert p.coefficient(1) == 3

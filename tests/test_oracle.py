@@ -7,21 +7,20 @@ import pytest
 from lacunary.hermite import hermite_h
 from lacunary.identities import catalan_number, w_series
 from lacunary.oracle import (
-    MarkedGraph,
     _iter_canonical,
     enumerate_marked_graphs,
     enumerate_matchings,
     enumerate_w_trees,
     factor_census_check,
-    iter_marked_graphs,
     iter_matchings,
-    iter_w_trees,
 )
 from lacunary.poly import UPolynomial
 
 from helpers import (
+    MarkedGraph,
     canonical_w_tree,
     fixed_slots,
+    iter_marked_graphs,
     iter_w_tree_drawings,
     matching_fixed_points,
     reduced_edges,
@@ -78,8 +77,15 @@ def test_w_tree_counts_match_w_series():
         assert w.coefficient((n,)) * math.factorial(n) == expected
 
 
+def test_canonical_w_trees_are_distinct():
+    # each tree once: as many distinct drawings as yielded, and as counted
+    for n in range(5):
+        trees = list(_iter_canonical(tuple(range(n))))
+        assert len(set(trees)) == len(trees) == enumerate_w_trees(n)
+
+
 def test_w_tree_count_n5_equals_generation():
-    # the n = 5 count multiplies subtree list lengths; generation yields each tree
+    # the count multiplies subtree list lengths; generation yields each tree
     assert enumerate_w_trees(5) == sum(1 for _ in _iter_canonical(tuple(range(5))))
 
 
@@ -91,7 +97,7 @@ def test_w_tree_drawings_quotient():
         count = 3**n * math.factorial(n) * catalan_number(n)
         assert len(drawings) == 2**n * count
         canonical = {canonical_w_tree(d) for d in drawings}
-        assert canonical == set(iter_w_trees(labels))
+        assert canonical == set(_iter_canonical(labels))
         assert len(canonical) == count
 
 
@@ -144,7 +150,7 @@ def test_census_n0_and_n1():
 
 def test_census_n2_multicyclic_is_perfect_matching_count():
     census = enumerate_marked_graphs(2)
-    assert census.all_multicyclic() == UPolynomial.constant(15)
+    assert census.by_profile[(0, 0, 1)] == UPolynomial.constant(15)
 
 
 def test_census_totals_match_hermite():
@@ -210,9 +216,21 @@ def test_factor_census_check_passes():
     assert report.passed
     assert report.to_dict()["status"] == "verified"
     by_factor = {(e.n, e.factor): e for e in report.entries}
-    assert by_factor[(1, "acyclic")].census == UPolynomial.u(power=3)
-    assert by_factor[(1, "unicyclic")].census == UPolynomial.u(coeff=3)
-    assert by_factor[(2, "multicyclic")].census == UPolynomial.constant(15)
+    assert by_factor[(1, "1,0,0")].census == UPolynomial.u(power=3)
+    assert by_factor[(1, "0,1,0")].census == UPolynomial.u(coeff=3)
+    assert by_factor[(2, "0,0,1")].census == UPolynomial.constant(15)
+
+
+def test_factor_census_check_compares_every_profile():
+    report = factor_census_check(4)
+    assert report.passed
+    # every (a, b, c) with a + b + c <= n, plus the total, for each n <= 4
+    assert len(report.entries) == 70 + 5
+    at_4 = [e.factor for e in report.entries if e.n == 4]
+    assert at_4[:3] == ["0,0,0", "0,0,1", "0,0,2"] and at_4[-1] == "total"
+    assert len(at_4) == 35 + 1
+    empty = {(e.n, e.factor): e for e in report.entries}[(3, "0,0,2")]
+    assert empty.census == empty.series == UPolynomial.zero()
 
 
 def test_factor_census_bound():

@@ -10,7 +10,6 @@ from lacunary.poly import UPolynomial
 from lacunary.series import TruncSeries
 from lacunary.umbral import (
     MExpression,
-    exp_of_linear_M,
     exp_of_m_power,
     umbral_eval,
     verify_corollary_and_ecor,
@@ -57,7 +56,7 @@ def test_eval_m_power_equals_h_at_zero():
 
 def test_exp_of_linear_M_structure():
     z = TruncSeries.variable("z", 2)
-    e = exp_of_linear_M(z)
+    e = exp_of_m_power(z, 1)
     assert e.coefficient(0) == TruncSeries.one(2)
     assert e.coefficient(1) == z
     assert e.coefficient(2) == TruncSeries.monomial((2,), Rational(1, 2), 2)
@@ -66,7 +65,7 @@ def test_exp_of_linear_M_structure():
 def test_eval_exp_mz_is_exp_half_z_squared():
     order = 8
     z = TruncSeries.variable("z", order)
-    lhs = umbral_eval(exp_of_linear_M(z))
+    lhs = umbral_eval(exp_of_m_power(z, 1))
     rhs = TruncSeries(order, {(2,): UPolynomial.constant(Rational(1, 2))}).exp()
     assert lhs == rhs
 
@@ -76,7 +75,7 @@ def test_eval_exp_m_of_sum_of_variables():
     vars = ("z", "x")
     z = TruncSeries.variable("z", order, vars)
     x = TruncSeries.variable("x", order, vars)
-    lhs = umbral_eval(exp_of_linear_M(z + x))
+    lhs = umbral_eval(exp_of_m_power(z + x, 1))
     rhs = (((z + x) * (z + x)) / 2).exp()
     assert lhs == rhs
 
@@ -175,7 +174,7 @@ def test_shift_rule_for_monomials():
     order = 4
     z = TruncSeries.variable("z", order)
     M = MExpression.umbra(order)
-    exp_mz = exp_of_linear_M(z)
+    exp_mz = exp_of_m_power(z, 1)
     gauss = TruncSeries(order, {(2,): UPolynomial.constant(Rational(1, 2))}).exp()
     shifted = M + MExpression.from_series(z)
     for k in range(3 * order + 1):
@@ -213,7 +212,7 @@ def test_corollary_x_slice_values():
     vars = ("z", "x")
     z = TruncSeries.variable("z", order, vars)
     x = TruncSeries.variable("x", order, vars)
-    lhs_a = umbral_eval(exp_of_m_power(z, 2) * exp_of_linear_M(x))
+    lhs_a = umbral_eval(exp_of_m_power(z, 2) * exp_of_m_power(x, 1))
     assert lhs_a.coefficient((0, 2)) == UPolynomial.constant(Rational(1, 2))
     lhs_b = umbral_eval(exp_of_m_power(z, 2) * exp_of_m_power(x, 3))
     assert lhs_b.coefficient((1, 2)) == UPolynomial.constant(Rational(105, 2))
@@ -224,7 +223,7 @@ def test_corollary_x_zero_slice_is_lemma_fm_ii():
     vars = ("z", "x")
     z = TruncSeries.variable("z", order, vars)
     x = TruncSeries.variable("x", order, vars)
-    lhs = umbral_eval(exp_of_m_power(z, 2) * exp_of_linear_M(x))
+    lhs = umbral_eval(exp_of_m_power(z, 2) * exp_of_m_power(x, 1))
     univariate = umbral_eval(exp_of_m_power(TruncSeries.variable("z", order), 2))
     for n in range(order + 1):
         assert lhs.coefficient((n, 0)) == univariate.coefficient((n,))
