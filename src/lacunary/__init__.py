@@ -10,7 +10,6 @@ from .hermite import (
     hermite_H,
     hermite_h,
     m_moment,
-    normalization_relation_check,
 )
 from .identities import (
     catalan_number,
@@ -66,7 +65,6 @@ __all__ = [
     "lhs_lacunary",
     "m_moment",
     "multi_cycle_factor",
-    "normalization_relation_check",
     "one_cycle_factor",
     "rhs_doetsch",
     "rhs_main",

@@ -176,11 +176,11 @@ def cmd_oracle(fmt: str, target: str, n: int) -> int:
     lines = [f"{profile}: {poly}" for profile, poly in census.to_dict().items()]
     lines.append(f"factor census check (n <= {n}): {'pass' if check.passed else 'fail'}")
     if not check.passed:
-        for entry in check.entries:
-            if not entry.matched:
-                lines.append(
-                    f"  n={entry.n} {entry.factor}: census {entry.census} != series {entry.series}"
-                )
+        payload["mismatches"] = [e for e in check.to_dict()["entries"] if not e["matched"]]
+        for e in payload["mismatches"]:
+            lines.append(
+                f"  n={e['n']} {e['factor']}: census {e['census']} != series {e['series']}"
+            )
     _emit(payload, lines, fmt)
     return 0 if check.passed else 1
 

@@ -14,8 +14,8 @@ odd ones, i.e. the number of perfect matchings of an n-set; it drives the
 umbral evaluation engine and equals h_n(0).
 
 The classical bridge h_n(u) = i^n/2^(n/2) * H_n(-i*u/sqrt(2)) is never
-evaluated with complex numbers here: ``normalization_relation_check``
-restates it as the equivalent coefficient-wise rational identity
+evaluated with complex numbers: the test suite checks it as the equivalent
+coefficient-wise rational identity
 H-coeff(u^(n-2k)) = (-1)^k * 2^(n-k) * h-coeff(u^(n-2k)), which is exact
 over Q.
 """
@@ -79,13 +79,3 @@ def m_moment(n: int) -> int:
     k = n // 2
     return math.factorial(2 * k) // (2**k * math.factorial(k))
 
-
-def normalization_relation_check(n: int) -> bool:
-    """Coefficient-wise rational form of the h/H rescaling; True iff it holds at n."""
-    h = next(islice(hermite_coefficients(HermiteKind.PROBABILIST), n, None))
-    H = next(islice(hermite_coefficients(HermiteKind.PHYSICIST), n, None))
-    for d, (a, b) in enumerate(zip(h, H)):
-        k, odd = divmod(n - d, 2)  # a term of the wrong parity breaks the relation
-        if (a or b) and (odd or b != (-1) ** k * 2 ** (n - k) * a):
-            return False
-    return True

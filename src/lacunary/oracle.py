@@ -1,8 +1,9 @@
-"""Brute-force enumeration of matchings, marked trivalent graphs and w-trees.
+"""Brute-force censuses of matchings, marked trivalent graphs and w-trees.
 
-These enumerations are deliberately independent of the series machinery:
-they walk concrete finite objects and aggregate weights, and the test suite
-uses them as ground truth for every generating-function factor.
+These censuses are deliberately independent of the series machinery: they
+count concrete finite objects by their combinatorial rules and aggregate
+weights, and the test suite uses them as ground truth for every
+generating-function factor.
 
 Matchings.  A matching of {0..m-1} is an involution, represented as a tuple
 of disjoint pairs (i, j) with i < j; elements in no pair are the fixed
@@ -31,10 +32,10 @@ trivalent with half-edges marked a/b/c, whose leaves are unlabeled, and
 whose root half-edge is unmatched.  The two subtrees under an internal
 vertex hang off half-edges with distinct marks, so ordering children by
 mark is a canonical form for the 2-per-vertex child-order symmetry of plane
-drawings.  ``_iter_canonical`` generates exactly the canonical drawings (each
-tree once) from memoized subtree lists.  ``enumerate_w_trees`` has one count
-path for every n: it multiplies the subtree list lengths instead of yielding
-the trees.
+drawings.  ``enumerate_w_trees`` counts the canonical drawings by one
+memoized recursion over label sets: a root, a root mark and a split of the
+other labels, times the counts of the two subtrees.  No tree is built; the
+test suite generates the trees themselves as the oracle of this count.
 
 Census check.  ``factor_census_check`` compares the census, component profile
 by component profile, with the exponential formula over the series factors.
@@ -60,7 +61,6 @@ Pair = Tuple[int, int]
 Pairs = Tuple[Pair, ...]
 
 MARKS = "abc"
-LEAF = ()
 
 
 def iter_matchings(items: Tuple[int, ...]) -> Iterator[Pairs]:
@@ -175,48 +175,29 @@ def _splits(rest: Tuple[int, ...]) -> Iterator[Tuple[tuple, tuple]]:
             yield left, tuple(v for v in rest if v not in left)
 
 
-def _iter_canonical(labels: Tuple[int, ...]) -> Iterator[tuple]:
-    """Each distinct w-tree on the sorted ``labels`` exactly once, as its canonical drawing.
+@lru_cache(maxsize=None)
+def _count_w_trees(labels: Tuple[int, ...]) -> int:
+    """Number of distinct w-trees on exactly the sorted internal ``labels``.
 
-    The two child half-edges of an internal vertex carry the two marks other
-    than the root-facing one, in alphabetical order: left gets the smaller
-    mark.  Because the marks differ, this fixes one drawing per tree.
+    The empty tuple is the lone leaf.  Otherwise a tree is a root label, the
+    mark of its root-facing half-edge, and a split of the other labels
+    between the two children, which hang off the two remaining marks in
+    alphabetical order, so each tree is counted once.
     """
     if not labels:
-        yield LEAF
-        return
-    for root in labels:
-        rest = tuple(v for v in labels if v != root)  # labels stay sorted
-        for mark in MARKS:  # mark of the unmatched / parent-facing half-edge
-            for left_labels, right_labels in _splits(rest):
-                lefts, rights = _w_tree_lists(left_labels), _w_tree_lists(right_labels)
-                for left, right in itertools.product(lefts, rights):
-                    yield (root, mark, left, right)
-
-
-@lru_cache(maxsize=None)
-def _w_tree_lists(labels: Tuple[int, ...]) -> tuple:
-    """Memoized canonical w-trees on exactly the given internal labels."""
-    return tuple(_iter_canonical(labels))
-
-
-def enumerate_w_trees(n: int) -> int:
-    """Count distinct w-trees with n internal vertices.
-
-    The count multiplies the lengths of the subtree lists under each root, mark
-    and split, the pairs ``_iter_canonical`` would yield, so the top-level list
-    is never materialized.
-    """
-    if not 0 <= n <= W_TREE_BOUND:
-        raise ValueError(f"w-tree enumeration supports 0 <= n <= {W_TREE_BOUND}, got {n}")
-    if n == 0:
-        return 1  # the lone leaf
-    labels = tuple(range(n))
+        return 1
     return len(MARKS) * sum(
-        len(_w_tree_lists(left)) * len(_w_tree_lists(right))
+        _count_w_trees(left) * _count_w_trees(right)
         for root in labels
         for left, right in _splits(tuple(v for v in labels if v != root))
     )
+
+
+def enumerate_w_trees(n: int) -> int:
+    """Count distinct w-trees with n internal vertices."""
+    if not 0 <= n <= W_TREE_BOUND:
+        raise ValueError(f"w-tree enumeration supports 0 <= n <= {W_TREE_BOUND}, got {n}")
+    return _count_w_trees(tuple(range(n)))
 
 
 # -- census versus generating-function factors -----------------------------------

@@ -5,24 +5,40 @@ fixed-seed generator and asserts the property on every one, so the module
 tests can run a few hundred and the acceptance gate can demand a thousand
 without duplicating logic.
 
+``child_env`` is the environment of a fresh interpreter that imports this
+lacunary, for the tests that must not share the suite's warm caches.
+
 The helpers at the end are test-only: the antiderivative in u, the
 per-graph model of a marked graph with its union-find component profile (the
-oracle of the census walk), views of brute-force objects (the fixed points
-of a matching, the slots and edges of a marked graph), and every plane
-drawing of the w-trees together with the quotient that recovers the
-canonical ones.
+oracle of the census walk), the generator of every canonical w-tree (the
+oracle of the memoized w-tree count), views of brute-force objects (the
+fixed points of a matching, the slots and edges of a marked graph), every
+plane drawing of the w-trees together with the quotient that recovers the
+canonical ones, and the coefficient-wise h/H normalization relation.
 """
 
 import itertools
+import os
 import random
+from functools import lru_cache
+from pathlib import Path
 
+import lacunary
 from lacunary import Rational
+from lacunary.hermite import HermiteKind, hermite_coefficients
 from lacunary.poly import UPolynomial
 from lacunary.series import TruncSeries
-from lacunary.oracle import LEAF, MARKS, iter_matchings
+from lacunary.oracle import MARKS, iter_matchings
 from lacunary.umbral import MExpression, umbral_eval
 
 SEED = 20260811
+
+
+def child_env(**overrides) -> dict:
+    """The environment for a fresh interpreter that imports this lacunary."""
+    src = str(Path(lacunary.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
 
 
 def make_rng(salt: int = 0) -> random.Random:
@@ -258,6 +274,38 @@ def iter_marked_graphs(n: int):
         yield MarkedGraph(n, pairs)
 
 
+# -- w-trees, one at a time -----------------------------------------------------
+
+LEAF = ()
+
+
+def iter_canonical_w_trees(labels: tuple):
+    """Each distinct w-tree on the sorted ``labels`` exactly once, as its canonical drawing.
+
+    The two child half-edges of an internal vertex carry the two marks other
+    than the root-facing one, in alphabetical order: left gets the smaller
+    mark.  Because the marks differ, this fixes one drawing per tree.
+    """
+    if not labels:
+        yield LEAF
+        return
+    for root in labels:
+        rest = tuple(v for v in labels if v != root)  # labels stay sorted
+        for mark in MARKS:  # mark of the unmatched / parent-facing half-edge
+            for k in range(len(rest) + 1):
+                for left_labels in itertools.combinations(rest, k):
+                    right_labels = tuple(v for v in rest if v not in left_labels)
+                    lefts, rights = _w_tree_lists(left_labels), _w_tree_lists(right_labels)
+                    for left, right in itertools.product(lefts, rights):
+                        yield (root, mark, left, right)
+
+
+@lru_cache(maxsize=None)
+def _w_tree_lists(labels: tuple) -> tuple:
+    """Memoized canonical w-trees on exactly the given internal labels."""
+    return tuple(iter_canonical_w_trees(labels))
+
+
 # -- oracle views --------------------------------------------------------------
 
 
@@ -316,3 +364,17 @@ def canonical_w_tree(drawing: tuple) -> tuple:
     # canonical drawings drop the child marks: they are determined by the
     # root mark plus alphabetical order
     return (root, mark, left[1], right[1])
+
+
+# -- the h/H normalization bridge ---------------------------------------------
+
+
+def normalization_relation_check(n: int) -> bool:
+    """Coefficient-wise rational form of the h/H rescaling; True iff it holds at n."""
+    h = next(itertools.islice(hermite_coefficients(HermiteKind.PROBABILIST), n, None))
+    H = next(itertools.islice(hermite_coefficients(HermiteKind.PHYSICIST), n, None))
+    for d, (a, b) in enumerate(zip(h, H)):
+        k, odd = divmod(n - d, 2)  # a term of the wrong parity breaks the relation
+        if (a or b) and (odd or b != (-1) ** k * 2 ** (n - k) * a):
+            return False
+    return True

@@ -5,15 +5,15 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import lacunary
 from lacunary import cli, oracle, umbral
 from lacunary.poly import UPolynomial
 from lacunary.report import IdentityReport, Mismatch
 from lacunary.series import TruncSeries
+
+from helpers import child_env
 
 
 def run_cli(capsys, *argv):
@@ -97,25 +97,39 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert payload["mismatch"] == {"exponents": [1], "lhs": "u", "rhs": "2*u"}
 
 
+# (builder perturbed at z^3, identity it feeds, first exponent that mismatches)
+FACTOR_MUTANTS = [
+    ("w_series", "w-routes", 3),
+    ("tree_gf", "tree-gf-routes", 3),
+    ("one_cycle_factor", "one-cycle-routes", 3),
+    ("tree_gf", "main", 3),
+    ("one_cycle_factor", "main", 3),
+    ("multi_cycle_factor", "main", 3),
+    ("lhs_lacunary", "main", 3),
+    ("w_series", "main", 4),  # w enters the factors multiplied by z
+    ("lhs_lacunary", "doetsch", 3),
+    ("rhs_doetsch", "doetsch", 3),
+]
+
+
 @pytest.mark.parametrize(
-    "builder, identity",
-    [
-        ("w_series", "w-routes"),
-        ("tree_gf", "tree-gf-routes"),
-        ("one_cycle_factor", "one-cycle-routes"),
-    ],
+    "builder, identity, exponent",
+    FACTOR_MUTANTS,
+    ids=[f"{builder}-{identity}" for builder, identity, _ in FACTOR_MUTANTS],
 )
-def test_routes_identity_catches_a_wrong_factor(capsys, monkeypatch, builder, identity):
-    """The route identities are the only check on the factor each one builds."""
+def test_routes_identity_catches_a_wrong_factor(capsys, monkeypatch, builder, identity, exponent):
+    """A factor one off at z^3 fails each identity it feeds, at the first exponent it reaches."""
     exact = getattr(cli.identities, builder)
     monkeypatch.setattr(
         cli.identities,
         builder,
-        lambda order: exact(order) + TruncSeries.monomial((3,), UPolynomial.one(), order),
+        lambda *args: exact(*args) + TruncSeries.monomial((3,), UPolynomial.one(), args[-1]),
     )
     code, out = run_cli(capsys, "verify", identity, "--order", "6")
     assert code == 1
-    assert out.startswith(f"{identity} @ order 6: mismatch\n  first mismatch at exponents [3]\n")
+    assert out.startswith(
+        f"{identity} @ order 6: mismatch\n  first mismatch at exponents [{exponent}]\n"
+    )
 
 
 def test_two_variable_mismatch_reports_exponent_tuples(capsys, monkeypatch):
@@ -223,6 +237,14 @@ def test_census_check_names_the_profile_of_a_wrong_factor(capsys, monkeypatch, b
     assert code == 1
     assert f"factor census check (n <= {n}): fail" in out
     assert any(line.startswith(f"  {named}: census ") for line in out.splitlines())
+    code, out = run_cli(capsys, "--format", "json", "oracle", "graphs", "--n", str(n))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["check"] == "fail"
+    mismatches = payload["mismatches"]
+    assert all(set(e) == {"n", "factor", "matched", "census", "series"} for e in mismatches)
+    assert not any(e["matched"] for e in mismatches)
+    assert any(f"n={e['n']} {e['factor']}" == named for e in mismatches)
 
 
 def test_oracle_out_of_bounds(capsys):
@@ -284,19 +306,12 @@ def test_oracle_output_is_pinned(capsys, target, fmt):
     assert digests == PINNED_ORACLE_OUTPUT[target, fmt]
 
 
-def _child_env(**overrides):
-    """The environment for a fresh interpreter that imports this lacunary."""
-    src = str(Path(lacunary.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return {**os.environ, "PYTHONPATH": path, **overrides}
-
-
 def _modules_after(statement):
     """The modules a fresh interpreter holds after running ``statement``."""
     probe = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", probe],
-        env=_child_env(),
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -318,7 +333,7 @@ def test_closed_stdout_pipe_is_not_an_error(unbuffered):
     try:
         done = subprocess.run(
             [sys.executable, "-m", "lacunary.cli", "hermite", "--kind", "h", "--n", "3"],
-            env=_child_env(PYTHONUNBUFFERED=unbuffered),
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,

@@ -9,11 +9,12 @@ from lacunary.hermite import (
     hermite_H,
     hermite_h,
     m_moment,
-    normalization_relation_check,
 )
 from lacunary.oracle import enumerate_matchings
 from lacunary.poly import UPolynomial
 from lacunary.series import TruncSeries
+
+from helpers import normalization_relation_check
 
 U = UPolynomial.u
 

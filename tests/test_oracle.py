@@ -1,13 +1,14 @@
 """Brute-force enumerations against closed forms and series factors."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
 from lacunary.hermite import hermite_h
 from lacunary.identities import catalan_number, w_series
 from lacunary.oracle import (
-    _iter_canonical,
     enumerate_marked_graphs,
     enumerate_matchings,
     enumerate_w_trees,
@@ -19,7 +20,9 @@ from lacunary.poly import UPolynomial
 from helpers import (
     MarkedGraph,
     canonical_w_tree,
+    child_env,
     fixed_slots,
+    iter_canonical_w_trees,
     iter_marked_graphs,
     iter_w_tree_drawings,
     matching_fixed_points,
@@ -80,13 +83,13 @@ def test_w_tree_counts_match_w_series():
 def test_canonical_w_trees_are_distinct():
     # each tree once: as many distinct drawings as yielded, and as counted
     for n in range(5):
-        trees = list(_iter_canonical(tuple(range(n))))
+        trees = list(iter_canonical_w_trees(tuple(range(n))))
         assert len(set(trees)) == len(trees) == enumerate_w_trees(n)
 
 
 def test_w_tree_count_n5_equals_generation():
-    # the count multiplies subtree list lengths; generation yields each tree
-    assert enumerate_w_trees(5) == sum(1 for _ in _iter_canonical(tuple(range(5))))
+    # the memoized count builds no tree; generation yields each tree
+    assert enumerate_w_trees(5) == sum(1 for _ in iter_canonical_w_trees(tuple(range(5))))
 
 
 def test_w_tree_drawings_quotient():
@@ -97,8 +100,23 @@ def test_w_tree_drawings_quotient():
         count = 3**n * math.factorial(n) * catalan_number(n)
         assert len(drawings) == 2**n * count
         canonical = {canonical_w_tree(d) for d in drawings}
-        assert canonical == set(_iter_canonical(labels))
+        assert canonical == set(iter_canonical_w_trees(labels))
         assert len(canonical) == count
+
+
+def test_w_tree_count_n5_builds_no_trees():
+    # a fresh interpreter, so that no warm cache hides what the count allocates
+    probe = (
+        "import tracemalloc\n"
+        "from lacunary.oracle import enumerate_w_trees\n"
+        "tracemalloc.start()\n"
+        "enumerate_w_trees(5)\n"
+        "print(tracemalloc.get_traced_memory()[1])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
+    )
+    assert int(done.stdout) < 2**20  # bytes at the peak
 
 
 def test_w_tree_bound():
