@@ -119,7 +119,10 @@ class UPolynomial:
         return self + (-other)
 
     def __rsub__(self, other) -> "UPolynomial":
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "UPolynomial":
         other = _coerce(other)

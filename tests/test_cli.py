@@ -306,6 +306,141 @@ def test_oracle_output_is_pinned(capsys, target, fmt):
     assert digests == PINNED_ORACLE_OUTPUT[target, fmt]
 
 
+# The same digests for `expand <series> --order 0, 1, ..., 12`, recorded before
+# the series kernel multiplied whole rows: a kernel change must not move a byte.
+PINNED_EXPAND_OUTPUT = {
+    ("hermite-H-egf", "json"): [
+        "8e7ba0a047bc6626", "beb05cfc0d978074", "92407a0a5e9d5c32", "e310cdf2fffe72ff",
+        "a315dd542ed61fe6", "3b183d9e7c9be354", "5c28d7bd08442fd8", "d1b4e9f02531248b",
+        "511c9d2898aa3a63", "85a7fcd1c1fa2cb0", "8db24cb6ec6b2212", "0f1bad504b2dea3c",
+        "7a0070dcfea206b1",
+    ],
+    ("hermite-H-egf", "text"): [
+        "9326ff5efd4f01a7", "51dfebfc05a5db85", "55c72c4e2ce86cd9", "c3b1a9c4c2f8eb4d",
+        "247a043e6df8e42b", "bfe27c8205ecfc3e", "cf55e560fcd6ed7a", "50e33c2a76838e1c",
+        "c9d58a9c3d4f3251", "24b7e67a225150cb", "615548ac3ef0ee31", "0ad7f10a54580cfa",
+        "3436716f9f7c994d",
+    ],
+    ("hermite-h-egf", "json"): [
+        "293607f48266846e", "fe1e540915637f93", "10d0af5a137fb250", "9dd69f722b1f26bc",
+        "1be6220ea5a03cf3", "9970ea3ea0a3c99d", "8ee6defb94f8fa6e", "61085e215f4f585d",
+        "d181f5cdae7b4ef2", "aa40ea2a72a737c9", "a819ca8a878892c6", "ee1a8a70430c1121",
+        "c5dceafc80590101",
+    ],
+    ("hermite-h-egf", "text"): [
+        "9326ff5efd4f01a7", "11726d29c385fb7c", "b4fe682bf359c1aa", "c3212a4f23ad88b5",
+        "c588179826fa7e09", "bb0eff18c5105fba", "29191c864571ab6f", "d7c715ffdba2f2a2",
+        "df298fe3332f58e8", "86b4d59a5b3ded99", "d0fdf1351d9ed784", "9027e83610d225c2",
+        "b2c2cb2fe2644e59",
+    ],
+    ("lhs-doetsch", "json"): [
+        "c3219112b4e5a6f6", "5e266d6b4637bcce", "1da665602dc34e06", "74cc1703bde8d55b",
+        "8fc881f6f760ae6d", "f8949d609274de33", "8c673a6069d4cdca", "9d684d0022a1b5c2",
+        "6de343fa6972e537", "5a8d7cf8772ed36c", "de800f3cb09723fe", "dce99fa5dc0fad99",
+        "aabb02bae7df9dce",
+    ],
+    ("lhs-doetsch", "text"): [
+        "9326ff5efd4f01a7", "3879f45f93733edd", "ca80184c8b2d31b5", "26383064026811a7",
+        "35b912728d593156", "f8092e326169b82f", "070a412bcbedf45d", "d6e69d7603824402",
+        "e8936b15279882e3", "387bd575d38beec3", "71bfc10fd34b841a", "b095bf00b0fc1af3",
+        "b913ef6cb16a89aa",
+    ],
+    ("lhs-main", "json"): [
+        "c3bf58a9cadb5d52", "09cfdbb4ba04bcef", "2b8b283c2776f97a", "a4dc98494d381a29",
+        "2ccaf13c8d2d3e9a", "971f3be4a3b15ac9", "153929ad3bfb44c7", "bd84daa27f127107",
+        "136ac938b95f195c", "88a86c4ba5fb0674", "8994c2feb4a0f838", "39c79d269ff011a9",
+        "347c40180ceb15c2",
+    ],
+    ("lhs-main", "text"): [
+        "9326ff5efd4f01a7", "519fc16a9c542d97", "e9e451485cc68dae", "702f46d5abeb8242",
+        "f1a89fc518a8c306", "00fc5b471fc3db8b", "a2b0624ef69bbf60", "662eafcc731e53a2",
+        "3e1258eb2f4a27af", "12916648fd4ddcca", "e51cd07a1229b3b5", "dca9a34ca9465901",
+        "aebccdba610b7963",
+    ],
+    ("multi-cycle", "json"): [
+        "a456f2cf5e2760d7", "695074a9bedaafa5", "a664b08a0e0f2966", "e48320ff4ca9a385",
+        "b5f940df090f0bc5", "73dfc072f691dfd6", "894793188dd83488", "d6255caf627ec5f2",
+        "6039578bc7d74c4f", "8de9e89c17f39f1d", "19ceb6c77fcf369a", "cecc324751cb189c",
+        "a0f1a08abd0b3f99",
+    ],
+    ("multi-cycle", "text"): [
+        "9326ff5efd4f01a7", "9326ff5efd4f01a7", "bf461eaf3e5dc241", "8bf9e434d0564f95",
+        "54e6722bac012283", "ced993267a47200a", "b85fb2801b116758", "25e1c90351888a48",
+        "486ac9a00b5af78e", "0e2131554a009766", "779f91cf39cf05e4", "0165fe2ac622981b",
+        "5fad24242899daea",
+    ],
+    ("one-cycle", "json"): [
+        "0e08fab5acf2a4cc", "ea946fac3437e044", "b2739d38c2989ace", "7d22e5d0fd5236c8",
+        "e472f31fa69005c8", "aa68c7bce5a16fe1", "210da1d4edfb7fb0", "4285f19b7f291055",
+        "5766300566b1eeea", "dc57a430b15e45cb", "8d6fe7421a704f9a", "14a5a85e2dc3d8ed",
+        "792b72d807b0cc39",
+    ],
+    ("one-cycle", "text"): [
+        "9326ff5efd4f01a7", "2d6b65e53b2b0065", "d9148d8acdeb8ba9", "c5a797c95cb9cf6f",
+        "a72adc258794b5f5", "c84fd0169e01e104", "e4834543ff7967bd", "e159b39e536c0e5f",
+        "9014c7fc3c0441a4", "268957604e3cd4ce", "07427e5aecd54d5e", "f167899098411c02",
+        "231cf671c25d517c",
+    ],
+    ("rhs-doetsch", "json"): [
+        "f55ce3296ff105a1", "c757482ee39bd188", "2fdc675f88d2ba8a", "07e309e7872fb9a3",
+        "29218d98843fdfb4", "cc05581e8ee114ee", "3a9b14357e1b2386", "14090df6f97f42e2",
+        "f1d42df39c8505e1", "e3ea9f0fa1e9f5a2", "6a2b120a10c45492", "f0d5db3621dbb78d",
+        "3b478dc7fb0cdac8",
+    ],
+    ("rhs-doetsch", "text"): [
+        "9326ff5efd4f01a7", "3879f45f93733edd", "ca80184c8b2d31b5", "26383064026811a7",
+        "35b912728d593156", "f8092e326169b82f", "070a412bcbedf45d", "d6e69d7603824402",
+        "e8936b15279882e3", "387bd575d38beec3", "71bfc10fd34b841a", "b095bf00b0fc1af3",
+        "b913ef6cb16a89aa",
+    ],
+    ("rhs-main", "json"): [
+        "95994186caae312b", "1ea719d5efc38bb1", "70bf1e9f179e4076", "4c786f3a0e20cf70",
+        "0822bb5cbfd54fa5", "a7fe9548eaafd2a6", "c6a84e7d4d0db3b2", "b46312005a2edbbd",
+        "edcf7764e65fd5e0", "8688ac70326bd50c", "c6398c7d47bc4c81", "a7903c75b0dcb47e",
+        "44909cbd39f87b83",
+    ],
+    ("rhs-main", "text"): [
+        "9326ff5efd4f01a7", "519fc16a9c542d97", "e9e451485cc68dae", "702f46d5abeb8242",
+        "f1a89fc518a8c306", "00fc5b471fc3db8b", "a2b0624ef69bbf60", "662eafcc731e53a2",
+        "3e1258eb2f4a27af", "12916648fd4ddcca", "e51cd07a1229b3b5", "dca9a34ca9465901",
+        "aebccdba610b7963",
+    ],
+    ("tree-gf", "json"): [
+        "774b5a9431d4eb69", "5fcd3226a9875e61", "043253cc7ba66faa", "376e7c8b15bf574b",
+        "758aec976b9e4f00", "36e7589d16a01286", "9d4997e6153999ed", "5a84f1e708ce3d39",
+        "430824ccf280ca30", "aae7098315d5d3a3", "c00602fb2d4fea81", "5f23ad3a5dde4a36",
+        "f270ac68eb95f0c7",
+    ],
+    ("tree-gf", "text"): [
+        "076d8aa32d28bd0a", "ae4fda1b27bba8f0", "f90332054afba1fd", "9db558459e15534d",
+        "bad0bc3d784c1ca2", "58f9fa425315ef8e", "af8685090e3e8dae", "83f04fffae056248",
+        "0fbc32f22abcb2d6", "cb69d5e1de0cb94e", "328318b46de0d17d", "49907aaf11206070",
+        "324c3458c10c1194",
+    ],
+    ("w", "json"): [
+        "9693d8e0ac8ba770", "cd97dae74d7af633", "07d76a1efb484466", "b7446b2ee4bad8e7",
+        "41699cc1a33e28ef", "34af18a37a49697d", "20366220cf7d5e2b", "0edf28308e06e7b0",
+        "6e28fcaf664b22cf", "cc809670b130737e", "486862346887672d", "c4271183f2416c7d",
+        "df95c3f72cb30ee2",
+    ],
+    ("w", "text"): [
+        "37ff126704275a65", "05957b07ee5b4e7d", "c2ffc908e1bda386", "0993d66b00fb5977",
+        "783e3c7987da7013", "ff64ff130a82656e", "312aa365466c767d", "c5757db7b46075d5",
+        "af69f3ad19150386", "2e5a0e6ede8c057a", "0e7f26d1457c0e51", "4f605871692eb3a4",
+        "52693eb0807279a3",
+    ],
+}
+
+
+@pytest.mark.parametrize("series, fmt", sorted(PINNED_EXPAND_OUTPUT))
+def test_expand_output_is_pinned(capsys, series, fmt):
+    digests = []
+    for order in range(len(PINNED_EXPAND_OUTPUT[series, fmt])):
+        code, out = run_cli(capsys, "--format", fmt, "expand", series, "--order", str(order))
+        digests.append(hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()[:16])
+    assert digests == PINNED_EXPAND_OUTPUT[series, fmt]
+
+
 def _modules_after(statement):
     """The modules a fresh interpreter holds after running ``statement``."""
     probe = f"import sys\n{statement}\nprint(' '.join(sys.modules))"

@@ -103,6 +103,19 @@ def test_negative_exponent_rejected():
         UPolynomial({(-1, 0): 1})
 
 
+def test_unsupported_operand_raises_type_error():
+    for op in (lambda: 1.5 - U, lambda: U - 1.5, lambda: 1.5 + U, lambda: 1.5 * U):
+        with pytest.raises(TypeError, match="'float' and 'UPolynomial'|'UPolynomial' and 'float'"):
+            op()
+    assert 3 - U == UPolynomial({(1, 0): -1, (0, 0): 3})
+    assert Rational(1, 2) - U == -(U - Rational(1, 2))
+
+
+def test_division_by_zero_names_the_polynomial():
+    with pytest.raises(ZeroDivisionError, match="division of polynomial by zero scalar"):
+        U / 0
+
+
 def test_rendering_grammar():
     assert str(UPolynomial.zero()) == "0"
     assert str(UPolynomial({(3, 0): 1, (1, 0): 3})) == "u^3 + 3*u"
