@@ -6,14 +6,20 @@ coefficients in u.  The central object is the weighted rooted-tree series
 
     w = u + 3*w^2*z = (1 - sqrt(1 - 12*u*z)) / (6*z),
 
-whose z^n coefficient is 3^n * C_n * u^(n+1) with C_n the Catalan numbers.
-Each factor is built by one route: ``w_series`` by that Catalan formula,
-``tree_gf`` by its explicit coefficient formula and ``one_cycle_factor`` as
-(1 - 6wz)^(-1/2) by the series power recurrence.  The other routes are
-checks only: ``w-routes`` compares the fixed point and the closed form
-against ``w_series``, ``tree-gf-routes`` the product and integral routes
-against ``tree_gf``, and ``one-cycle-routes`` the exp-log route against
-``one_cycle_factor``.  Nothing is cached; w is cheap to rebuild.
+whose z^n coefficient is 3^n * C_n * u^(n+1) with C_n the Catalan numbers,
+and 1 - 6wz = sqrt(1 - 12uz).  Each factor is built by one route, from its
+coefficient formula: ``w_series`` by that Catalan formula, ``tree_gf`` by its
+explicit coefficients, and the two cycle factors as binomial series in
+1 - 12uz, ``one_cycle_factor`` = (1 - 12uz)^(-1/4) and
+``multi_cycle_factor`` = sum_n c_n z^(2n) (1 - 12uz)^(-3n/2).  So ``main``
+reads no w.  The other routes are checks only: ``w-routes`` compares the
+fixed point and the closed form against ``w_series``, ``tree-gf-routes`` the
+product and integral routes against ``tree_gf``, ``one-cycle-routes`` the
+power (1 - 6wz)^(-1/2) and the exp-log route against ``one_cycle_factor``,
+and ``hypergeom`` the hypergeometric sum over the powers of
+54 z^2 (1 - 6wz)^(-3) against ``multi_cycle_factor``; the last two carry the
+check of w against the cycle factors.  Nothing is cached; w is cheap to
+rebuild.
 
 The identities themselves form a closed enumeration (see IDENTITIES);
 ``verify`` builds both sides and compares coefficient by coefficient,
@@ -25,9 +31,8 @@ even-stride (Doetsch) generating function
 and the triple-stride one, whose right side is the product of three
 combinatorially meaningful factors: exp(T) for forests of unrooted trees,
 (1-6wz)^(-1/2) for cycles of trees, and an explicit double sum for the
-components with at least two independent cycles.  That sum is a power series
-in the one argument P = z^2 (1-6wz)^(-3), summed over ``P.powers()``; its
-hypergeometric route sums over the powers of 54P the same way.
+components with at least two independent cycles.  The two cycle factors hold
+one term per degree and power of u, so they are multiplied first.
 """
 
 from __future__ import annotations
@@ -38,8 +43,10 @@ from itertools import islice
 
 from .hermite import HermiteKind, hermite_coefficients
 from .poly import POLY_U, UPolynomial
+from .poly import _make as _make_poly
 from .report import IdentityReport, Mismatch, compare_series
-from .series import TruncSeries
+from .series import DEFAULT_VARS, TruncSeries
+from .series import _make as _make_series
 from .umbral import verify_corollary_and_ecor, verify_lemma_fm_i, verify_lemma_fm_ii
 
 
@@ -59,14 +66,12 @@ def _z(order: int) -> TruncSeries:
 
 
 def w_fixed_point(order: int) -> TruncSeries:
-    """Iterate w <- u + 3*w^2*z; each pass settles one more z-order."""
-    z = _z(order)
-    w = _u_series(order)
-    for _ in range(order + 1):
-        w_next = _u_series(order) + 3 * (w * w) * z
-        if w_next == w:
-            break
-        w = w_next
+    """Iterate w <- u + 3*w^2*z; pass k settles z^k, so it runs at order k, with
+    3*w^2 of the previous pass placed one degree up."""
+    w = _u_series(0)
+    for k in range(1, order + 1):
+        square = w * w
+        w = TruncSeries(k, {(0,): POLY_U, **{(d + 1,): 3 * c for (d,), c in square.items()}})
     return w
 
 def w_closed_form(order: int) -> TruncSeries:
@@ -93,11 +98,11 @@ def lhs_lacunary(stride: int, order: int) -> TruncSeries:
     if stride not in (2, 3):
         raise ValueError(f"stride must be 2 or 3, got {stride}")
     h = islice(hermite_coefficients(HermiteKind.PROBABILIST), 0, stride * order + 1, stride)
-    coeffs = {}
+    parts = {}
     for n, h_n in enumerate(h):
         scale = math.factorial(n)
-        coeffs[(n,)] = UPolynomial({(i, 0): Rational(a, scale) for i, a in enumerate(h_n) if a})
-    return TruncSeries(order, coeffs)
+        parts[n] = _make_poly({(i, 0): Rational(a, scale) for i, a in enumerate(h_n) if a})
+    return _make_series(order, parts, DEFAULT_VARS)
 
 
 def rhs_doetsch(order: int) -> TruncSeries:
@@ -154,9 +159,19 @@ def one_cycle_exp_log_route(order: int) -> TruncSeries:
     return (_one_minus_6wz(order).log() * Rational(-1, 2)).exp()
 
 
-def one_cycle_factor(order: int) -> TruncSeries:
-    """(1 - 6wz)^(-1/2): graphs whose components are single cycles of trees."""
+def one_cycle_power_route(order: int) -> TruncSeries:
     return _one_minus_6wz(order) ** Rational(-1, 2)
+
+
+def one_cycle_factor(order: int) -> TruncSeries:
+    """(1 - 6wz)^(-1/2) = (1 - 12uz)^(-1/4): graphs whose components are single
+    cycles of trees, by its coefficients u^k z^k |-> 3^k prod_{j<k} (1+4j) / k!."""
+    parts, num, den = {}, 1, 1
+    for k in range(order + 1):
+        parts[k] = _make_poly({(k, 0): Rational(num, den)})
+        num *= 3 * (1 + 4 * k)
+        den *= k + 1
+    return _make_series(order, parts, DEFAULT_VARS)
 
 
 def multi_cycle_coefficient(n: int) -> Rational:
@@ -167,18 +182,23 @@ def multi_cycle_coefficient(n: int) -> Rational:
 
 
 def multi_cycle_factor(order: int) -> TruncSeries:
-    """sum_n (6n)!/(2^(3n)(3n)!) * (1-6wz)^(-3n) * z^(2n)/(2n)!, a power series
-    in P = z^2 (1-6wz)^(-3)."""
-    p = TruncSeries.monomial((2,), 1, order) * _one_minus_6wz(order) ** -3
-    total = TruncSeries.zero(order)
-    for n, p_n in enumerate(p.powers()):
-        total = total + multi_cycle_coefficient(n) * p_n
-    return total
+    """sum_n c_n z^(2n) (1-6wz)^(-3n) = sum_n c_n z^(2n) (1-12uz)^(-3n/2), with
+    c_n = ``multi_cycle_coefficient(n)``, by its coefficients
+    u^k z^(2n+k) |-> c_n 6^k prod_{j<k} (3n+2j) / k!; for n = 0 only k = 0."""
+    parts: dict[int, dict] = {}
+    for n in range(order // 2 + 1):
+        c = multi_cycle_coefficient(n)
+        num, den = c.numerator, c.denominator
+        for k in range(order - 2 * n + 1 if n else 1):
+            parts.setdefault(2 * n + k, {})[(k, 0)] = Rational(num, den)
+            num *= 6 * (3 * n + 2 * k)
+            den *= k + 1
+    return _make_series(order, {d: _make_poly(p) for d, p in parts.items()}, DEFAULT_VARS)
 
 
 def rhs_main(order: int) -> TruncSeries:
-    """exp(T) * (1-6wz)^(-1/2) * multi-cycle sum."""
-    return tree_gf(order).exp() * one_cycle_factor(order) * multi_cycle_factor(order)
+    """exp(T) * ((1-6wz)^(-1/2) * multi-cycle sum), the sparse cycle factors first."""
+    return tree_gf(order).exp() * (one_cycle_factor(order) * multi_cycle_factor(order))
 
 
 # -- hypergeometric form -------------------------------------------------------
@@ -260,7 +280,7 @@ def _verify_one_cycle_routes(order: int) -> IdentityReport:
     return _verify_routes(
         "one-cycle-routes",
         order,
-        (one_cycle_factor, one_cycle_exp_log_route),
+        (one_cycle_factor, one_cycle_power_route, one_cycle_exp_log_route),
     )
 
 

@@ -140,6 +140,8 @@ class UPolynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "UPolynomial":
+        if not isinstance(scalar, (int, Rational)):
+            return NotImplemented
         q = Rational(scalar)
         if not q:
             raise ZeroDivisionError("division of polynomial by zero scalar")

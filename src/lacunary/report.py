@@ -51,6 +51,8 @@ class IdentityReport(NamedTuple):
 def compare_series(identity: str, order: int, lhs, rhs) -> IdentityReport:
     """Coefficient-by-coefficient comparison; reports the first mismatch.
 
+    Equal series (``==`` compares every coefficient exactly) verify at once;
+    otherwise the coefficients are walked to find the first mismatch.
     "First" means lowest total degree, then lexicographic exponents, so a
     failure always points at the smallest offending coefficient.
     """
@@ -59,6 +61,8 @@ def compare_series(identity: str, order: int, lhs, rhs) -> IdentityReport:
             f"cannot compare series of shape ({lhs.order}, {lhs.vars}) "
             f"and ({rhs.order}, {rhs.vars})"
         )
+    if lhs == rhs:
+        return IdentityReport(identity, order)
     left, right = dict(lhs.items()), dict(rhs.items())
     for e in sorted(left.keys() | right.keys(), key=lambda t: (sum(t), t)):
         lp = left.get(e, POLY_ZERO)

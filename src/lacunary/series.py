@@ -236,6 +236,8 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "TruncSeries":
+        if not isinstance(scalar, (int, Rational)):
+            return NotImplemented
         q = Rational(scalar)
         if not q:
             raise ZeroDivisionError("division of series by zero scalar")

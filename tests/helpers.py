@@ -9,12 +9,14 @@ without duplicating logic.
 lacunary, for the tests that must not share the suite's warm caches.
 
 The helpers at the end are test-only: the antiderivative in u, the
-per-graph model of a marked graph with its union-find component profile (the
-oracle of the census walk), the generator of every canonical w-tree (the
-oracle of the memoized w-tree count), views of brute-force objects (the
-fixed points of a matching, the slots and edges of a marked graph), every
-plane drawing of the w-trees together with the quotient that recovers the
-canonical ones, and the coefficient-wise h/H normalization relation.
+multi-cycle factor as a power sum over P = z^2 (1-6wz)^(-3) (the oracle of
+its closed form), the per-graph model of a marked graph with its union-find
+component profile (the oracle of the census walk), the generator of every
+canonical w-tree (the oracle of the memoized w-tree count), views of
+brute-force objects (the fixed points of a matching, the slots and edges of
+a marked graph), every plane drawing of the w-trees together with the
+quotient that recovers the canonical ones, and the coefficient-wise h/H
+normalization relation.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from pathlib import Path
 import lacunary
 from lacunary import Rational
 from lacunary.hermite import HermiteKind, hermite_coefficients
+from lacunary.identities import multi_cycle_coefficient, w_series
 from lacunary.poly import UPolynomial
 from lacunary.series import TruncSeries
 from lacunary.oracle import MARKS, iter_matchings
@@ -204,6 +207,17 @@ def check_rational_roundtrip(count: int) -> None:
 def int_u(p: UPolynomial) -> UPolynomial:
     """Formal antiderivative in u with integration constant 0."""
     return UPolynomial({(du + 1, dx): c / (du + 1) for (du, dx), c in p.items()})
+
+
+def multi_cycle_power_sum(order: int) -> TruncSeries:
+    """sum_n c_n P^n over P = z^2 (1-6wz)^(-3), with w by ``w_series`` and the
+    power by the series recurrence: the multi-cycle factor without its closed form."""
+    z = TruncSeries.variable("z", order)
+    p = z * z * (TruncSeries.one(order) - 6 * w_series(order) * z) ** -3
+    total = TruncSeries.zero(order)
+    for n, p_n in enumerate(p.powers()):
+        total = total + multi_cycle_coefficient(n) * p_n
+    return total
 
 
 # -- marked graphs, one at a time ------------------------------------------------

@@ -106,7 +106,12 @@ FACTOR_MUTANTS = [
     ("one_cycle_factor", "main", 3),
     ("multi_cycle_factor", "main", 3),
     ("lhs_lacunary", "main", 3),
-    ("w_series", "main", 4),  # w enters the factors multiplied by z
+    ("one_cycle_power_route", "one-cycle-routes", 3),
+    ("multi_cycle_factor", "hypergeom", 3),
+    # w enters 1 - 6wz multiplied by z, and the hypergeometric argument at z^2 more;
+    # main builds its factors from 1 - 12uz and reads no w
+    ("w_series", "one-cycle-routes", 4),
+    ("w_series", "hypergeom", 6),
     ("lhs_lacunary", "doetsch", 3),
     ("rhs_doetsch", "doetsch", 3),
 ]

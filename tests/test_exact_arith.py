@@ -116,6 +116,13 @@ def test_division_by_zero_names_the_polynomial():
         U / 0
 
 
+def test_division_by_a_non_scalar_raises_type_error():
+    for divisor in (1.5, "a", U):
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            U / divisor
+    assert U / 2 == UPolynomial.u(coeff=Rational(1, 2))
+
+
 def test_rendering_grammar():
     assert str(UPolynomial.zero()) == "0"
     assert str(UPolynomial({(3, 0): 1, (1, 0): 3})) == "u^3 + 3*u"

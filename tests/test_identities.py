@@ -9,12 +9,14 @@ from lacunary.hermite import hermite_h
 from lacunary.identities import (
     catalan_number,
     hypergeom_form_check,
+    hypergeom_series_route,
     hypergeom_term,
     lhs_lacunary,
     multi_cycle_coefficient,
     multi_cycle_factor,
     one_cycle_exp_log_route,
     one_cycle_factor,
+    one_cycle_power_route,
     rhs_doetsch,
     rhs_main,
     tree_gf,
@@ -28,6 +30,8 @@ from lacunary.identities import (
 from lacunary.poly import UPolynomial
 from lacunary.report import compare_series
 from lacunary.series import TruncSeries
+
+from helpers import multi_cycle_power_sum
 
 
 def test_catalan_numbers():
@@ -114,6 +118,13 @@ def test_multi_cycle_factor():
     # z^4 mixes the n=2 constant 12!/(2^6 6!)/4! = 10395/24 with the n=1 tail
     assert factor.coefficient((4,)).coefficient(0) == Rational(10395, 24)
     assert Rational(10395, 24) == Rational(3465, 8)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 12, 48, 64])
+def test_cycle_factor_closed_forms_match_every_route(order):
+    """Both closed forms in 1 - 12uz equal the routes that read w through 1 - 6wz."""
+    assert one_cycle_factor(order) == one_cycle_power_route(order) == one_cycle_exp_log_route(order)
+    assert multi_cycle_factor(order) == multi_cycle_power_sum(order) == hypergeom_series_route(order)
 
 
 def test_rhs_main_composition():

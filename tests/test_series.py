@@ -273,6 +273,16 @@ def test_division_by_zero_names_the_series():
     assert (u_z(3, 6) / Rational(3, 2)) == u_z(3, 4)
 
 
+def test_division_by_a_non_scalar_raises_type_error():
+    """Only an int or a Rational divides a series; anything else is the operator's TypeError."""
+    for divisor in (1.5, "a", one(3), UPolynomial.u()):
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            u_z(3) / divisor
+    with pytest.raises(TypeError, match="'UPolynomial' and 'TruncSeries'"):
+        UPolynomial.u() / one(3)
+    assert u_z(3, 6) / 2 == u_z(3, 3)
+
+
 def test_equality_requires_equal_order():
     assert one(3) != one(4)
     assert one(3) == one(4).truncated(3)
