@@ -72,6 +72,8 @@ def hermite_H(n: int) -> UPolynomial:
 
 def m_moment(n: int) -> int:
     """Number of perfect matchings of an n-set: (2k)!/(2^k k!) for n=2k, else 0."""
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n % 2:

@@ -7,19 +7,20 @@ coefficients in u.  The central object is the weighted rooted-tree series
     w = u + 3*w^2*z = (1 - sqrt(1 - 12*u*z)) / (6*z),
 
 whose z^n coefficient is 3^n * C_n * u^(n+1) with C_n the Catalan numbers,
-and 1 - 6wz = sqrt(1 - 12uz).  Each factor is built by one route, from its
-coefficient formula: ``w_series`` by that Catalan formula, ``tree_gf`` by its
-explicit coefficients, and the two cycle factors as binomial series in
-1 - 12uz, ``one_cycle_factor`` = (1 - 12uz)^(-1/4) and
-``multi_cycle_factor`` = sum_n c_n z^(2n) (1 - 12uz)^(-3n/2).  So ``main``
-reads no w.  The other routes are checks only: ``w-routes`` compares the
-fixed point and the closed form against ``w_series``, ``tree-gf-routes`` the
-product and integral routes against ``tree_gf``, ``one-cycle-routes`` the
-power (1 - 6wz)^(-1/2) and the exp-log route against ``one_cycle_factor``,
-and ``hypergeom`` the hypergeometric sum over the powers of
-54 z^2 (1 - 6wz)^(-3) against ``multi_cycle_factor``; the last two carry the
-check of w against the cycle factors.  Nothing is cached; w is cheap to
-rebuild.
+and 1 - 6wz = s = sqrt(1 - 12uz), so w = 2u (1 + s)^(-1).  Each factor is
+built by one route, from its coefficient formula: ``w_series`` by that
+Catalan formula, ``tree_gf`` by its explicit coefficients, and the two cycle
+factors as binomial series in 1 - 12uz, ``one_cycle_factor`` =
+(1 - 12uz)^(-1/4) and ``multi_cycle_factor`` = sum_n c_n z^(2n)
+(1 - 12uz)^(-3n/2).  So ``main`` reads no w.  The other routes are checks
+only: ``w-routes`` compares the fixed point and the closed form against
+``w_series``, ``tree-gf-routes`` the product and integral routes against
+``tree_gf``, ``one-cycle-routes`` the power (1 - 6wz)^(-1/2) and the exp-log
+route against ``one_cycle_factor``, and ``hypergeom`` the hypergeometric sum
+over the powers of 54 z^2 (1 - 6wz)^(-3) against ``multi_cycle_factor``; the
+last two carry the check of w against the cycle factors.  The closed form
+and the integral route are written in s, so no route divides by z.  Nothing
+is cached; w is cheap to rebuild.
 
 The identities themselves form a closed enumeration (see IDENTITIES);
 ``verify`` builds both sides and compares coefficient by coefficient,
@@ -74,12 +75,15 @@ def w_fixed_point(order: int) -> TruncSeries:
         w = TruncSeries(k, {(0,): POLY_U, **{(d + 1,): 3 * c for (d,), c in square.items()}})
     return w
 
+
+def _sqrt_1_minus_12uz(order: int) -> TruncSeries:
+    """s = (1 - 12uz)^(1/2), in which w = 2u / (1 + s) needs no division by z."""
+    return (1 - TruncSeries.monomial((1,), UPolynomial.u(coeff=12), order)) ** Rational(1, 2)
+
+
 def w_closed_form(order: int) -> TruncSeries:
-    """(1 - sqrt(1 - 12*u*z)) / (6*z) via the explicit z-division."""
-    radicand = TruncSeries.one(order + 1) - TruncSeries.monomial(
-        (1,), UPolynomial.u(coeff=12), order + 1
-    )
-    return (TruncSeries.one(order + 1) - radicand ** Rational(1, 2)).div_z() / 6
+    """(1 - sqrt(1 - 12*u*z)) / (6*z) = 2u * (1 + s)^(-1), with s = sqrt(1 - 12uz)."""
+    return 2 * POLY_U * (1 + _sqrt_1_minus_12uz(order)) ** -1
 
 
 def w_series(order: int) -> TruncSeries:
@@ -124,19 +128,11 @@ def tree_gf_product_route(order: int) -> TruncSeries:
 
 
 def tree_gf_integral_route(order: int) -> TruncSeries:
-    """((1-12uz)^(3/2) - 1 + 18uz) / (108 z^2) - u^2/2.
-
-    The two singular-looking pieces of the antiderivative are combined
-    before dividing so that both explicit z-divisions are exact; inputs are
-    computed at order + 2 to make the result trustworthy at ``order``.
-    """
-    lifted = order + 2
-    one = TruncSeries.one(lifted)
-    uz = TruncSeries.monomial((1,), POLY_U, lifted)
-    radicand = one - 12 * uz
-    numerator = radicand ** Rational(3, 2) - one + 18 * uz
-    quotient = numerator.div_z().div_z() / 108
-    return quotient - TruncSeries.from_poly(UPolynomial.u(power=2) / 2, order)
+    """((1-12uz)^(3/2) - 1 + 18uz) / (108 z^2) - u^2/2, the antiderivative of w - u,
+    as (2u^2/3) (1 + 2s) (1 + s)^(-2) - u^2/2 with s = sqrt(1 - 12uz)."""
+    s = _sqrt_1_minus_12uz(order)
+    u2 = UPolynomial.u(power=2)
+    return u2 * Rational(2, 3) * (1 + 2 * s) * (1 + s) ** -2 - u2 / 2
 
 
 def tree_gf(order: int) -> TruncSeries:

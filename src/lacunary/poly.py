@@ -39,6 +39,8 @@ class UPolynomial:
             for (du, dx), c in coeffs.items():
                 if du < 0 or dx < 0:
                     raise ValueError(f"negative exponent ({du}, {dx})")
+                if not isinstance(c, (int, Rational)):
+                    raise TypeError(f"coefficients are int or Fraction, got {type(c).__name__}")
                 q = Rational(c)
                 if q:
                     cleaned[(du, dx)] = q
@@ -70,9 +72,6 @@ class UPolynomial:
     def coefficient(self, deg_u: int, deg_x: int = 0) -> Rational:
         """Exact coefficient of u^deg_u * x^deg_x (0 if absent)."""
         return self._coeffs.get((deg_u, deg_x), Rational(0))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def is_constant(self) -> bool:
         return not self._coeffs or self._coeffs.keys() == {(0, 0)}

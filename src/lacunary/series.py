@@ -24,12 +24,8 @@ A power s^a for a negative int or a ``Rational`` a, exp and log are computed
 by order-by-order coefficient recurrences on the homogeneous parts.  The
 power's is J. C. P. Miller's, from the Euler operator E that multiplies part
 d by d: s * E(s^a) = a * s^a * E(s).  With exact rationals these give the
-mathematically exact coefficients up to the truncation order.  Division by
-the first series variable is deliberately not part of ``/``: it is the one
-operation that loses an order of information, so it is exposed as the
-explicit :meth:`div_z`, which checks divisibility and lowers the recorded
-order by one.  On a part, dividing by z only lowers the degree: the
-polynomial in (u, y) is unchanged, and divisibility means it has no y^d.
+mathematically exact coefficients up to the truncation order.  No operation
+divides by a series variable, so none loses an order.
 
 A power sum sum_n c_n s^n is built from ``s.powers()``.  s has zero
 constant term, so s^k starts at total degree k and the powers stop by
@@ -144,13 +140,13 @@ class TruncSeries:
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, exponents: Exponents | int) -> UPolynomial:
+    def coefficient(self, exponents: Exponents) -> UPolynomial:
         """Exact coefficient at the given exponents (zero polynomial if absent).
 
         Raises ValueError for exponents beyond the truncation order, where
         the coefficient is unknown rather than zero.
         """
-        e = (exponents,) if isinstance(exponents, int) else tuple(exponents)
+        e = tuple(exponents)
         if len(e) != len(self.vars):
             raise ValueError(f"expected {len(self.vars)} exponents, got {e}")
         if any(k < 0 for k in e):
@@ -173,9 +169,6 @@ class TruncSeries:
             for b, coeffs in slices.items():
                 yield (d - b, b)[: len(self.vars)], _make_poly(coeffs)
 
-    def is_zero(self) -> bool:
-        return not self._parts
-
     def __bool__(self) -> bool:
         return bool(self._parts)
 
@@ -187,9 +180,6 @@ class TruncSeries:
             and self.order == other.order
             and self._parts == other._parts
         )
-
-    def __hash__(self):
-        return hash((self.vars, self.order, frozenset(self._parts.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -254,7 +244,7 @@ class TruncSeries:
         if q == 1 and p >= 0:
             return _power(self, p, TruncSeries.one(self.order, self.vars))
         c0 = self.constant_coefficient()
-        if not c0.is_constant() or c0.is_zero() or (q > 1 and c0 != POLY_ONE):
+        if not c0.is_constant() or not c0 or (q > 1 and c0 != POLY_ONE):
             raise ValueError(
                 f"power {alpha} needs a nonzero scalar constant term (1 if fractional), got {c0}"
             )
@@ -282,21 +272,6 @@ class TruncSeries:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return _make(order, {d: p for d, p in self._parts.items() if d <= order}, self.vars)
-
-    def div_z(self) -> "TruncSeries":
-        """Exact division by the first series variable.
-
-        Every stored term must contain that variable; the result's order
-        drops by one because the top coefficient of the quotient is not
-        determined by a truncated dividend.
-        """
-        if self.order == 0:
-            raise ValueError("cannot divide by the series variable at order 0")
-        bad = [d for d, p in self._parts.items() if any(db == d for (_, db), _ in p.items())]
-        if bad:
-            e = (0, min(bad))[: len(self.vars)]
-            raise ValueError(f"series not divisible by {self.vars[0]}: nonzero coefficient at {e}")
-        return _make(self.order - 1, {d - 1: p for d, p in self._parts.items()}, self.vars)
 
     def diff_u(self) -> "TruncSeries":
         """Formal derivative of every coefficient with respect to u."""
@@ -351,27 +326,8 @@ class TruncSeries:
             ),
         )
 
-    # -- rendering ----------------------------------------------------------
-
-    def monomial_str(self, exponents: Exponents) -> str:
-        parts = [
-            f"{name}^{k}" if k != 1 else name
-            for name, k in zip(self.vars, exponents)
-            if k
-        ]
-        return "*".join(parts) if parts else "1"
-
-    def __str__(self) -> str:
-        if not self._parts:
-            return f"O({self.vars[0]}^{self.order + 1})"
-        terms = [
-            f"({p})*{self.monomial_str(e)}" if any(e) else f"({p})"
-            for e, p in sorted(self.items(), key=lambda item: (sum(item[0]), item[0]))
-        ]
-        return " + ".join(terms) + f" + O(total^{self.order + 1})"
-
     def __repr__(self) -> str:
-        return f"TruncSeries(order={self.order}, vars={self.vars}, {self})"
+        return f"TruncSeries(order={self.order}, vars={self.vars}, {dict(self.items())})"
 
 
 def _operand(value, order: int, vars: tuple) -> tuple:

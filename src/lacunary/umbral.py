@@ -42,8 +42,7 @@ class MExpression:
         cleaned: dict[int, TruncSeries] = {}
         order = vars = None
         for d, series in coeffs.items():
-            if d < 0:
-                raise ValueError(f"negative M-degree {d}")
+            _check_m_degree(d)
             if order is None:
                 order, vars = series.order, series.vars
             elif (series.order, series.vars) != (order, vars):
@@ -69,8 +68,7 @@ class MExpression:
     # -- inspection ----------------------------------------------------------
 
     def coefficient(self, mdeg: int) -> TruncSeries:
-        if mdeg < 0:
-            raise ValueError(f"negative M-degree {mdeg}")
+        _check_m_degree(mdeg)
         return self._coeffs.get(mdeg) or TruncSeries.zero(self.order, self.vars)
 
     def __eq__(self, other) -> bool:
@@ -81,9 +79,6 @@ class MExpression:
             and self.vars == other.vars
             and self._coeffs == other._coeffs
         )
-
-    def __hash__(self):
-        return hash((self.order, self.vars, frozenset(self._coeffs.items())))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -137,6 +132,13 @@ class MExpression:
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"M-expression power must be a nonnegative int, got {k!r}")
         return _power(self, k, MExpression.from_series(TruncSeries.one(self.order, self.vars)))
+
+
+def _check_m_degree(d) -> None:
+    if not isinstance(d, int):
+        raise TypeError(f"M-degrees must be int, got {type(d).__name__}")
+    if d < 0:
+        raise ValueError(f"negative M-degree {d}")
 
 
 def umbral_eval(expr: MExpression) -> TruncSeries:

@@ -108,6 +108,12 @@ FACTOR_MUTANTS = [
     ("lhs_lacunary", "main", 3),
     ("one_cycle_power_route", "one-cycle-routes", 3),
     ("multi_cycle_factor", "hypergeom", 3),
+    ("w_fixed_point", "w-routes", 3),
+    ("w_closed_form", "w-routes", 3),
+    ("tree_gf_product_route", "tree-gf-routes", 3),
+    ("tree_gf_integral_route", "tree-gf-routes", 3),
+    ("one_cycle_exp_log_route", "one-cycle-routes", 3),
+    ("hypergeom_series_route", "hypergeom", 3),
     # w enters 1 - 6wz multiplied by z, and the hypergeometric argument at z^2 more;
     # main builds its factors from 1 - 12uz and reads no w
     ("w_series", "one-cycle-routes", 4),

@@ -1,9 +1,12 @@
 """Exact rational scalars and sparse u/x polynomial arithmetic."""
 
+from decimal import Decimal
+
 import pytest
 
 from lacunary import Rational
 from lacunary.poly import UPolynomial
+from lacunary.series import TruncSeries
 
 from helpers import check_diff_u_rules, check_poly_ring_axioms, check_rational_roundtrip, int_u
 
@@ -95,7 +98,7 @@ def test_coefficient_lookup():
 def test_zero_coefficients_pruned():
     p = UPolynomial({(2, 0): 0, (1, 0): 1})
     assert len(p) == 1
-    assert (p - U).is_zero()
+    assert not p - U
 
 
 def test_negative_exponent_rejected():
@@ -109,6 +112,18 @@ def test_unsupported_operand_raises_type_error():
             op()
     assert 3 - U == UPolynomial({(1, 0): -1, (0, 0): 3})
     assert Rational(1, 2) - U == -(U - Rational(1, 2))
+
+
+def test_inexact_coefficients_raise_type_error():
+    """Coefficients are exact: an int or a Fraction, never a float, str or Decimal."""
+    for build, kind in (
+        (lambda: UPolynomial({(0, 0): 0.1}), "float"),
+        (lambda: UPolynomial.constant("1/3"), "str"),
+        (lambda: UPolynomial.u(coeff=Decimal("0.5")), "Decimal"),
+        (lambda: TruncSeries(2, {(1,): 0.1}), "float"),
+    ):
+        with pytest.raises(TypeError, match=f"got {kind}$"):
+            build()
 
 
 def test_division_by_zero_names_the_polynomial():

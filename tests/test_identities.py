@@ -225,6 +225,8 @@ def _sympy_closed_forms():
     doetsch = (1 - 2 * z) ** sp.Rational(-1, 2) * sp.exp(u**2 * z / (1 - 2 * z))
     return sp, u, z, {
         "w": w,
+        "tree-integral": ((1 - 12 * u * z) ** sp.Rational(3, 2) - 1 + 18 * u * z) / (108 * z**2)
+        - u**2 / 2,
         "doetsch": doetsch,
         "main": sp.exp(tree) / sp.sqrt(base) * multi,
     }
@@ -232,7 +234,13 @@ def _sympy_closed_forms():
 
 @pytest.mark.parametrize(
     "name, builder, order",
-    [("w", w_series, 8), ("doetsch", rhs_doetsch, 5), ("main", rhs_main, 4)],
+    [
+        ("w", w_series, 8),
+        ("w", w_closed_form, 8),
+        ("tree-integral", tree_gf_integral_route, 8),
+        ("doetsch", rhs_doetsch, 5),
+        ("main", rhs_main, 4),
+    ],
 )
 def test_series_match_sympy_expansion(name, builder, order):
     """Every coefficient agrees with sympy's own series expansion of the closed form."""

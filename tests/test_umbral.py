@@ -124,6 +124,18 @@ def test_coefficients_must_share_order():
         MExpression({-1: TruncSeries.one(3)})
 
 
+def test_m_degrees_must_be_int():
+    for build in (
+        lambda: MExpression({1.5: TruncSeries.one(4)}),
+        lambda: MExpression.umbra(4).coefficient(1.0),
+        lambda: m_moment(1.5),
+    ):
+        with pytest.raises(TypeError, match="got float$"):
+            build()
+    with pytest.raises(ValueError, match="negative M-degree -1"):
+        MExpression({-1: TruncSeries.one(4)})
+
+
 def test_sum_and_product_take_the_smaller_order():
     a = MExpression({0: TruncSeries.one(4)})
     b = MExpression({1: TruncSeries.one(3)})
