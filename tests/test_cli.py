@@ -102,9 +102,11 @@ FACTOR_MUTANTS = [
     ("w_series", "w-routes", 3),
     ("tree_gf", "tree-gf-routes", 3),
     ("one_cycle_factor", "one-cycle-routes", 3),
-    ("tree_gf", "main", 3),
-    ("one_cycle_factor", "main", 3),
-    ("multi_cycle_factor", "main", 3),
+    # main sums c_n z^(2n) Y_n by recurrences and reads none of these builders;
+    # rhs-main-routes compares it with their product
+    ("tree_gf", "rhs-main-routes", 3),
+    ("one_cycle_factor", "rhs-main-routes", 3),
+    ("multi_cycle_factor", "rhs-main-routes", 3),
     ("lhs_lacunary", "main", 3),
     ("one_cycle_power_route", "one-cycle-routes", 3),
     ("multi_cycle_factor", "hypergeom", 3),
@@ -141,6 +143,27 @@ def test_routes_identity_catches_a_wrong_factor(capsys, monkeypatch, builder, id
     assert out.startswith(
         f"{identity} @ order 6: mismatch\n  first mismatch at exponents [{exponent}]\n"
     )
+
+
+# (what rhs_main reads, how it is changed, first exponent that mismatches)
+MAIN_TERM_MUTANTS = [
+    # A2's top term 11664 u^3 z^6 first enters the equation for z^7
+    ("_Y0_OPERATOR", lambda exact: {**exact, (2, 6, 3): exact[2, 6, 3] + 1}, 7),
+    # the step's 162 (1 + 6n) u z^3 read as 162 * 6n u z^3
+    ("_step_operator", lambda exact: lambda n: {**exact(n), (0, 3, 1): 162 * 6 * n}, 6),
+    ("multi_cycle_coefficient", lambda exact: lambda n: exact(n) + (1 if n == 1 else 0), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name, mutate, exponent", MAIN_TERM_MUTANTS, ids=[name for name, _, _ in MAIN_TERM_MUTANTS]
+)
+def test_main_catches_a_wrong_term(capsys, monkeypatch, name, mutate, exponent):
+    """A wrong recurrence table or multi-cycle scalar fails main at its first exponent."""
+    monkeypatch.setattr(cli.identities, name, mutate(getattr(cli.identities, name)))
+    code, out = run_cli(capsys, "verify", "main", "--order", "8")
+    assert code == 1
+    assert out.startswith(f"main @ order 8: mismatch\n  first mismatch at exponents [{exponent}]\n")
 
 
 def test_two_variable_mismatch_reports_exponent_tuples(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lacunary import Rational
+from lacunary import Rational, identities
 from lacunary.hermite import hermite_h
 from lacunary.identities import (
     catalan_number,
@@ -19,6 +19,7 @@ from lacunary.identities import (
     one_cycle_power_route,
     rhs_doetsch,
     rhs_main,
+    rhs_main_product_route,
     tree_gf,
     tree_gf_integral_route,
     tree_gf_product_route,
@@ -135,6 +136,34 @@ def test_rhs_main_composition():
     assert rhs_main(order).coefficient((0,)) == UPolynomial.one()
 
 
+@pytest.mark.parametrize("order", [*range(21), 48])
+def test_rhs_main_recurrences_equal_the_product_route(order):
+    """The term-by-term sum equals exp(T) * one-cycle * multi-cycle exactly; orders
+    0-2 keep only the n = 0 term or few n, and 48 sums 25 terms."""
+    assert rhs_main(order) == rhs_main_product_route(order)
+
+
+@pytest.mark.parametrize("name", ["w-routes", "tree-gf-routes", "rhs-main-routes"])
+def test_route_identities_at_order_48(name):
+    """A route that goes wrong only at high order fails here, not only at order 12."""
+    assert verify(name, 48).verified
+
+
+def test_main_fails_for_every_recurrence_entry_off_by_one(monkeypatch):
+    """rhs_main reads every entry of the Y_0 operator and of the step."""
+    y0, source, step = identities._Y0_OPERATOR, identities._STEP_SOURCE, identities._step_operator
+    mutants = [("_Y0_OPERATOR", key, {**y0, key: c + 1}) for key, c in y0.items()]
+    mutants += [("_STEP_SOURCE", key, {**source, key: c + 1}) for key, c in source.items()]
+    mutants += [
+        ("_step_operator", key, lambda n, key=key: {**step(n), key: step(n)[key] + 1})
+        for key in step(1)
+    ]
+    for name, key, mutant in mutants:
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, name, mutant)
+            assert not verify("main", 8).verified, (name, key)
+
+
 def test_main_identity_first_order_by_hand():
     # z^1: the tree term contributes u^3, the cycle factor 3u; h_3 = u^3 + 3u
     assert rhs_main(1).coefficient((1,)) == hermite_h(3)
@@ -156,6 +185,7 @@ def test_verify_all_identities_small_order():
         "tree-gf-routes",
         "one-cycle-routes",
         "w-routes",
+        "rhs-main-routes",
         "hypergeom",
         "lemma-fm-i",
         "lemma-fm-ii",
@@ -253,3 +283,76 @@ def test_series_match_sympy_expansion(name, builder, order):
             for (du, _), c in built.coefficient((n,)).items()
         )
         assert sp.expand(expansion.coeff_monomial(z**n) - ours) == 0, (name, n)
+
+
+def _split_in_s(sp, expr, s):
+    """(even, odd) with expr = even + odd * s, both rational in s^2 only."""
+    num, den = sp.fraction(sp.together(expr))
+    num, den = sp.expand(num * den.subs(s, -s)), sp.expand(den * den.subs(s, -s))
+    even, odd = 0, 0
+    for (e,), c in sp.Poly(num, s).terms():
+        if e % 2:
+            odd += c * s ** (e - 1)
+        else:
+            even += c * s**e
+    return even / den, odd / den
+
+
+def _table(sp, polys, z, u):
+    """{(k, j, p): c} of sum_k polys[k] (d/dz)^k with polys[k] = sum c z^j u^p."""
+    return {
+        (k, j, p): sp.expand(c)
+        for k, poly in enumerate(polys)
+        for (j, p), c in sp.Poly(poly, z, u).terms()
+    }
+
+
+def _main_recurrence_symbols():
+    """Y_n = e^T s^(-1/2-3n) with s = sqrt(1 - 12uz) and T' = 8u^3 / (1+s)^3:
+    the logarithmic derivative of Y_n and the substitution z = (1 - s^2) / (12u)."""
+    sp = pytest.importorskip("sympy")
+    u, z, s, n = sp.symbols("u z s n")
+    w = (1 - sp.sqrt(1 - 12 * u * z)) / (6 * z)
+    tree = (w - u) * (3 * u - w) / 6
+    tree_prime = 8 * u**3 / (1 + s) ** 3
+    at_z = {s: sp.sqrt(1 - 12 * u * z)}
+    assert sp.simplify(sp.diff(tree, z) - tree_prime.subs(at_z)) == 0
+    log_derivative = tree_prime + 3 * u * (1 + 6 * n) / s**2  # d/dz log Y_n
+    return sp, u, z, s, n, log_derivative, at_z
+
+
+def _to_polys(sp, exprs, z, u, at_z):
+    """Rational functions of u and s^2 as coprime polynomials in u, z."""
+    exprs = [sp.cancel(e.subs(at_z)) for e in exprs]
+    den = sp.lcm([sp.fraction(sp.together(e))[1] for e in exprs])
+    polys = [sp.cancel(e * den) for e in exprs]
+    g = sp.gcd_list(polys)
+    return [sp.expand(sp.cancel(p / g)) for p in polys]
+
+
+def test_y0_operator_is_derived_from_the_tree_series():
+    """A2 Y'' + A1 Y' + A0 Y = 0 for Y_0 = e^T (1-12uz)^(-1/4), derived as the
+    relation among Y, Y' = aY and Y'' = (a' + a^2) Y over Q(u, z)(s)."""
+    sp, u, z, s, n, log_derivative, at_z = _main_recurrence_symbols()
+    a = log_derivative.subs(n, 0)
+    a_even, a_odd = _split_in_s(sp, a, s)
+    b_even, b_odd = _split_in_s(sp, sp.diff(a, s) * (-6 * u / s) + a**2, s)
+    a0, a1, a2 = _to_polys(sp, [b_odd * a_even - a_odd * b_even, -b_odd, a_odd], z, u, at_z)
+    lead = a1.subs(z, 0)
+    derived = _table(sp, [sp.expand(c / lead) for c in (a0, a1, a2)], z, u)
+    assert derived == identities._Y0_OPERATOR
+
+
+def test_step_operator_is_derived_from_the_tree_series():
+    """(P + Q d/dz) Y_n = R Y_(n-1) with Y_(n-1) = s^3 Y_n: the odd part in s gives
+    Q = R (1-12uz) / odd(a_n), the even part P = -Q even(a_n); R = 1 - 3uz is the
+    least denominator of both."""
+    sp, u, z, s, n, log_derivative, at_z = _main_recurrence_symbols()
+    a_even, a_odd = _split_in_s(sp, log_derivative, s)
+    q = (1 - 12 * u * z) / a_odd.subs(at_z)
+    p, q, r = _to_polys(sp, [-q * a_even, q, sp.Integer(1)], z, u, at_z)
+    lead = p.subs(z, 0)
+    p, q, r = (sp.expand(c / lead) for c in (p, q, r))
+    assert _table(sp, [r], z, u) == identities._STEP_SOURCE
+    step = {key: sp.expand(c) for key, c in identities._step_operator(n).items()}
+    assert _table(sp, [p, q], z, u) == step
