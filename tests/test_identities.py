@@ -129,18 +129,12 @@ def test_cycle_factor_closed_forms_match_every_route(order):
 
 
 def test_rhs_main_composition():
-    order = 5
-    assert rhs_main(order) == tree_gf(order).exp() * one_cycle_factor(
-        order
-    ) * multi_cycle_factor(order)
-    assert rhs_main(order).coefficient((0,)) == UPolynomial.one()
-
-
-@pytest.mark.parametrize("order", [*range(21), 48])
-def test_rhs_main_recurrences_equal_the_product_route(order):
     """The term-by-term sum equals exp(T) * one-cycle * multi-cycle exactly; orders
     0-2 keep only the n = 0 term or few n, and 48 sums 25 terms."""
-    assert rhs_main(order) == rhs_main_product_route(order)
+    for order in [*range(21), 48]:
+        product = tree_gf(order).exp() * one_cycle_factor(order) * multi_cycle_factor(order)
+        assert rhs_main(order) == rhs_main_product_route(order) == product, order
+    assert rhs_main(5).coefficient((0,)) == UPolynomial.one()
 
 
 @pytest.mark.parametrize("name", ["w-routes", "tree-gf-routes", "rhs-main-routes"])
