@@ -447,6 +447,8 @@ def verify(identity: str, order: int) -> IdentityReport:
         raise ValueError(
             f"unknown identity {identity!r}; choose from {', '.join(IDENTITIES)}"
         ) from None
+    if not isinstance(order, int):
+        raise TypeError(f"order must be an int, got {type(order).__name__}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     return checker(order)

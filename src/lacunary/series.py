@@ -36,15 +36,11 @@ Products run on one integer kernel whose single entry is ``_sum_products``,
 ``scale * sum(w * x * y)`` over weighted products: ``*`` is one call, the
 power, exp and log recurrences one per degree (over the base's nonzero parts
 only), ``umbral`` one per M-degree.  Each operand (or homogeneous part) is
-*lifted* to ``int`` numerators over the lcm of its denominators and split into
-*rows*, one per deg_y and parity of deg_u: the paper's series are lacunary, so
-a part is a dense run of u-powers of one parity.  A row keeps its gcd apart
-from its reduced numerators (content and primitive part, Knuth, TAOCP vol. 2,
-4.6.1).  Two rows multiply by one convolution of their reduced numerators;
-each of its sums is scaled once by the two gcds and the product's weight and
-added into a sum keyed by (degree, deg_y << 32 | deg_u), and each sum is
-*lowered* once, with one gcd, back to a ``Rational``; sums that cancel are
-pruned.  A u-degree of 2^31 or more does not fit the key: ``ValueError``.
+*lifted* to ``int`` numerators over the lcm of its denominators; one operand of
+each product is scaled by an integer to a common denominator, the multiply-add
+loop adds pure ``int`` products into sums keyed by (degree, (deg_u, deg_y)),
+and each sum is *lowered* once, with one gcd, back to a ``Rational``; sums that
+cancel are pruned.
 
 Instances are immutable and all operations are pure.
 """
@@ -54,7 +50,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Rational
 from itertools import accumulate, repeat, takewhile
-from operator import add, mul
+from operator import mul
 from typing import Iterator, Mapping, Sequence, Tuple
 
 from .poly import POLY_ONE, POLY_ZERO, UPolynomial, _power
@@ -76,6 +72,8 @@ class TruncSeries:
         coeffs: Mapping[Exponents, UPolynomial] | None = None,
         vars: Sequence[str] = DEFAULT_VARS,
     ):
+        if not isinstance(order, int):
+            raise TypeError(f"truncation order must be an int, got {type(order).__name__}")
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
         names = tuple(vars)
@@ -358,51 +356,16 @@ def _make(order, parts, vars) -> TruncSeries:
 
 
 # -- the integer kernel ----------------------------------------------------------
-# A lifted group is (den, [(degree, rows)]), with one row per (deg_y, parity of
-# deg_u) of a part.  A row is (key, g, nums): key = deg_y << 32 | deg_u of its
-# first term, and the numerator at deg_u + 2i is g * nums[i], with g the row's
-# gcd and zeros in gaps.  A one-term row is (key, numerator, None).  A row pair
-# costs one big multiply and one keyed sum per output term, not per term pair.
-
-_U_SHIFT = 32
-_U_MASK = (1 << _U_SHIFT) - 1
-_U_LIMIT = 1 << (_U_SHIFT - 1)  # the u-degree of a product of two lifted terms fits the key
+# A lifted group is (den, [(degree, [(deg_u, deg_y, numerator)])]).
 
 
 def _lift(parts: Mapping[int, UPolynomial]):
-    """The terms of ``parts`` as rows of int numerators over one common denominator."""
+    """The terms of ``parts`` as int numerators over one common denominator."""
     den = math.lcm(*(c.denominator for p in parts.values() for _, c in p.items()))
-    return den, [(d, _rows(p, den)) for d, p in parts.items()]
-
-
-def _rows(poly: UPolynomial, den: int) -> list:
-    """The rows of ``poly`` with its coefficients scaled by ``den`` to integers."""
-    if len(poly) == 1:  # most parts in umbral products
-        ((du, dy), c), = poly.items()
-        return [(_key(du, dy), c.numerator * (den // c.denominator), None)]
-    runs: dict = {}
-    for (du, dy), c in poly.items():
-        n = c.numerator * (den // c.denominator)
-        runs.setdefault((dy, du & 1), []).append((_key(du, dy), n))
-    rows = []
-    for run in runs.values():
-        start, top = min(run)[0], max(run)[0]
-        if start == top:
-            rows.append((start, run[0][1], None))
-            continue
-        nums = [0] * ((top - start) // 2 + 1)
-        for k, n in run:
-            nums[(k - start) // 2] = n
-        g = math.gcd(*nums)
-        rows.append((start, g, [n // g for n in nums]))
-    return rows
-
-
-def _key(du: int, dy: int) -> int:
-    """The packed exponent pair dy << 32 | du."""
-    if du >= _U_LIMIT:
-        raise ValueError(f"u-degree {du} is beyond the series kernel's limit {_U_LIMIT - 1}")
-    return dy << _U_SHIFT | du
+    return den, [
+        (d, [(du, dy, c.numerator * (den // c.denominator)) for (du, dy), c in p.items()])
+        for d, p in parts.items()
+    ]
 
 
 def _sum_products(products, order: int, scale=1) -> dict[int, UPolynomial]:
@@ -414,7 +377,7 @@ def _sum_products(products, order: int, scale=1) -> dict[int, UPolynomial]:
     for w, (den_x, xs), (den_y, ys) in products:
         f = w * (den // (den_x * den_y))
         if f != 1:
-            xs = [(d, [(k, g * f, nums) for k, g, nums in rows]) for d, rows in xs]
+            xs = [(d, [(du, dy, c * f) for du, dy, c in p]) for d, p in xs]
         _mul_add(acc, xs, ys, order)
     return _lower(acc, den, scale)
 
@@ -423,37 +386,16 @@ _LIFTED_ONE = _lift({0: POLY_ONE})
 
 
 def _mul_add(acc, parts_a, parts_b, order) -> None:
-    """acc[degree][key] += a * b over the rows of lifted parts of degree <= order."""
-    for da, rows_a in parts_a:
-        for db, rows_b in parts_b:
+    """acc[degree][(deg_u, deg_y)] += a * b over lifted terms of degree <= order."""
+    for da, pa in parts_a:
+        for db, pb in parts_b:
             if da + db > order:
                 continue
             sums = acc.setdefault(da + db, {})
-            for ka, ga, na in rows_a:
-                for kb, gb, nb in rows_b:
-                    k = ka + kb
-                    if na is nb is None:
-                        sums[k] = sums.get(k, 0) + ga * gb
-                        continue
-                    g = ga * gb
-                    for c in _convolve(na, nb):
-                        if c:
-                            sums[k] = sums.get(k, 0) + g * c
-                        k += 2
-
-
-def _convolve(a, b) -> list:
-    """The product of two reduced rows as a row; a one-term row's list is None."""
-    if a is None or b is None:
-        return b if a is None else a
-    if len(a) > len(b):
-        a, b = b, a
-    n = len(b)
-    out = [0] * (len(a) + n - 1)
-    for i, c in enumerate(a):
-        if c:
-            out[i : i + n] = map(add, out[i : i + n], map(c.__mul__, b))
-    return out
+            for au, ay, ca in pa:
+                for bu, by, cb in pb:
+                    k = (au + bu, ay + by)
+                    sums[k] = sums.get(k, 0) + ca * cb
 
 
 def _lower(acc, den: int, scale=1) -> dict[int, UPolynomial]:
@@ -461,9 +403,7 @@ def _lower(acc, den: int, scale=1) -> dict[int, UPolynomial]:
     num, den = scale.numerator, den * scale.denominator
     out = {}
     for d, sums in acc.items():
-        coeffs = {
-            (k & _U_MASK, k >> _U_SHIFT): Rational(n * num, den) for k, n in sums.items() if n
-        }
+        coeffs = {k: Rational(n * num, den) for k, n in sums.items() if n}
         if coeffs:
             out[d] = _make_poly(coeffs)
     return out

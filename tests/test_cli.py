@@ -340,8 +340,8 @@ def test_oracle_output_is_pinned(capsys, target, fmt):
     assert digests == PINNED_ORACLE_OUTPUT[target, fmt]
 
 
-# The same digests for `expand <series> --order 0, 1, ..., 12`, recorded before
-# the series kernel multiplied whole rows: a kernel change must not move a byte.
+# The same digests for `expand <series> --order 0, 1, ..., 12`, recorded with the
+# flat integer-term series kernel: a kernel change must not move a byte.
 PINNED_EXPAND_OUTPUT = {
     ("hermite-H-egf", "json"): [
         "8e7ba0a047bc6626", "beb05cfc0d978074", "92407a0a5e9d5c32", "e310cdf2fffe72ff",

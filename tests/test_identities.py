@@ -202,6 +202,15 @@ def test_verify_unknown_identity():
         verify("main", -1)
 
 
+@pytest.mark.parametrize("order, kind", [(2.0, "float"), (2.5, "float"), (Rational(2), "Fraction")])
+def test_non_int_order_is_a_type_error(order, kind):
+    with pytest.raises(TypeError, match=f"truncation order must be an int, got {kind}$"):
+        TruncSeries(order)
+    for name in ("doetsch", "w-routes"):
+        with pytest.raises(TypeError, match=f"order must be an int, got {kind}$"):
+            verify(name, order)
+
+
 def test_mismatch_reporting():
     lhs = TruncSeries(2, {(1,): UPolynomial.u()})
     rhs = TruncSeries(2, {(1,): UPolynomial.u(coeff=2), (2,): UPolynomial.one()})
