@@ -27,7 +27,7 @@ import math
 from collections.abc import Iterator
 from itertools import count, islice
 
-from .poly import UPolynomial
+from .poly import UPolynomial, _check_nonnegative_int
 
 
 class HermiteKind(enum.Enum):
@@ -54,9 +54,7 @@ def hermite_coefficients(kind: HermiteKind) -> Iterator[list[int]]:
 
 
 def hermite(kind: HermiteKind, n: int) -> UPolynomial:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    coeffs = next(islice(hermite_coefficients(kind), n, None))
+    coeffs = next(islice(hermite_coefficients(kind), _check_nonnegative_int(n, "n"), None))
     return UPolynomial({(i, 0): a for i, a in enumerate(coeffs) if a})
 
 
@@ -72,11 +70,7 @@ def hermite_H(n: int) -> UPolynomial:
 
 def m_moment(n: int) -> int:
     """Number of perfect matchings of an n-set: (2k)!/(2^k k!) for n=2k, else 0."""
-    if not isinstance(n, int):
-        raise TypeError(f"n must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n % 2:
+    if _check_nonnegative_int(n, "n") % 2:
         return 0
     k = n // 2
     return math.factorial(2 * k) // (2**k * math.factorial(k))

@@ -16,11 +16,11 @@ factors as binomial series in 1 - 12uz, ``one_cycle_factor`` =
 compares the fixed point and the closed form against ``w_series``,
 ``tree-gf-routes`` the product and integral routes against ``tree_gf``,
 ``one-cycle-routes`` the power (1 - 6wz)^(-1/2) and the exp-log route
-against ``one_cycle_factor``, and ``hypergeom`` the hypergeometric sum over
-the powers of 54 z^2 (1 - 6wz)^(-3) against ``multi_cycle_factor``; the
-last two carry the check of w against the cycle factors.  The closed form
-and the integral route are written in s, so no route divides by z.  Nothing
-is cached; w is cheap to rebuild.
+against ``one_cycle_factor``, and ``hypergeom`` the hypergeometric sum of
+``hypergeom_term(n)`` times the powers of z^2 (1 - 6wz)^(-3) against
+``multi_cycle_factor``; the last two carry the check of w against the cycle
+factors.  The closed form and the integral route are written in s, so no
+route divides by z.  Nothing is cached; w is cheap to rebuild.
 
 The right side of ``main`` is built term by term, as
 sum_n c_n z^(2n) Y_n with Y_n = e^T s^(-1/2-3n): ``rhs_main`` solves an
@@ -52,7 +52,7 @@ from itertools import islice
 from operator import add
 
 from .hermite import HermiteKind, hermite_coefficients
-from .poly import POLY_U, UPolynomial
+from .poly import POLY_U, UPolynomial, _check_nonnegative_int
 from .poly import _make as _make_poly
 from .report import IdentityReport, Mismatch, compare_series
 from .series import DEFAULT_VARS, TruncSeries
@@ -62,8 +62,7 @@ from .umbral import verify_corollary_and_ecor, verify_lemma_fm_i, verify_lemma_f
 
 def catalan_number(n: int) -> int:
     """C_n = binom(2n, n) / (n + 1)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_nonnegative_int(n, "n")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -79,7 +78,7 @@ def w_fixed_point(order: int) -> TruncSeries:
     """Iterate w <- u + 3*w^2*z; pass k settles z^k, so it runs at order k, with
     3*w^2 of the previous pass placed one degree up."""
     w = _u_series(0)
-    for k in range(1, order + 1):
+    for k in range(1, _check_nonnegative_int(order, "truncation order") + 1):
         square = w * w
         w = TruncSeries(k, {(0,): POLY_U, **{(d + 1,): 3 * c for (d,), c in square.items()}})
     return w
@@ -101,7 +100,7 @@ def w_series(order: int) -> TruncSeries:
         order,
         {
             (n,): UPolynomial.u(power=n + 1, coeff=3**n * catalan_number(n))
-            for n in range(order + 1)
+            for n in range(_check_nonnegative_int(order, "truncation order") + 1)
         },
     )
 
@@ -110,6 +109,7 @@ def lhs_lacunary(stride: int, order: int) -> TruncSeries:
     """sum_{n<=order} h_{stride*n}(u) z^n / n! for stride 2 or 3."""
     if stride not in (2, 3):
         raise ValueError(f"stride must be 2 or 3, got {stride}")
+    _check_nonnegative_int(order, "truncation order")
     h = islice(hermite_coefficients(HermiteKind.PROBABILIST), 0, stride * order + 1, stride)
     parts = {}
     for n, h_n in enumerate(h):
@@ -147,7 +147,7 @@ def tree_gf_integral_route(order: int) -> TruncSeries:
 def tree_gf(order: int) -> TruncSeries:
     """The unrooted-tree series T = sum_{n>=1} 3^n (2n)!/(n+2)! u^(n+2) z^n / n!."""
     coeffs = {}
-    for n in range(1, order + 1):
+    for n in range(1, _check_nonnegative_int(order, "truncation order") + 1):
         c = Rational(3**n * math.factorial(2 * n), math.factorial(n + 2) * math.factorial(n))
         coeffs[(n,)] = UPolynomial.u(power=n + 2, coeff=c)
     return TruncSeries(order, coeffs)
@@ -172,7 +172,7 @@ def one_cycle_factor(order: int) -> TruncSeries:
     """(1 - 6wz)^(-1/2) = (1 - 12uz)^(-1/4): graphs whose components are single
     cycles of trees, by its coefficients u^k z^k |-> 3^k prod_{j<k} (1+4j) / k!."""
     parts, num, den = {}, 1, 1
-    for k in range(order + 1):
+    for k in range(_check_nonnegative_int(order, "truncation order") + 1):
         parts[k] = _make_poly({(k, 0): Rational(num, den)})
         num *= 3 * (1 + 4 * k)
         den *= k + 1
@@ -191,7 +191,7 @@ def multi_cycle_factor(order: int) -> TruncSeries:
     c_n = ``multi_cycle_coefficient(n)``, by its coefficients
     u^k z^(2n+k) |-> c_n 6^k prod_{j<k} (3n+2j) / k!; for n = 0 only k = 0."""
     parts: dict[int, dict] = {}
-    for n in range(order // 2 + 1):
+    for n in range(_check_nonnegative_int(order, "truncation order") // 2 + 1):
         c = multi_cycle_coefficient(n)
         num, den = c.numerator, c.denominator
         for k in range(order - 2 * n + 1 if n else 1):
@@ -286,6 +286,7 @@ def _solve_rows(operator, lead, order, rows, source=None, previous=()) -> list:
 def rhs_main(order: int) -> TruncSeries:
     """exp(T) (1-6wz)^(-1/2) sum_n c_n z^(2n) (1-6wz)^(-3n) as sum_n c_n z^(2n) Y_n,
     each Y_n by an integer recurrence, every row over order! * lcm(den c_n)."""
+    _check_nonnegative_int(order, "truncation order")
     coeffs = [multi_cycle_coefficient(n) for n in range(order // 2 + 1)]
     lcm = math.lcm(*(c.denominator for c in coeffs))
     scale = math.factorial(order)
@@ -334,7 +335,7 @@ def hypergeom_form_check(terms: int) -> IdentityReport:
 
     Checks (1/6)_n (5/6)_n 54^n / n! == (6n)!/(2^(3n)(3n)!(2n)!) for n <= terms.
     """
-    for n in range(terms + 1):
+    for n in range(_check_nonnegative_int(terms, "terms") + 1):
         lhs = hypergeom_term(n)
         rhs = multi_cycle_coefficient(n)
         if lhs != rhs:
@@ -347,13 +348,10 @@ def hypergeom_form_check(terms: int) -> IdentityReport:
 
 
 def hypergeom_series_route(order: int) -> TruncSeries:
-    """The hypergeometric sum evaluated at 54 z^2 / (1-6wz)^3 as a series."""
-    argument = TruncSeries.monomial((2,), 54, order) * _one_minus_6wz(order) ** -3
-    total = TruncSeries.zero(order)
-    for n, power in enumerate(argument.powers()):
-        scalar = rising_factorial(Rational(1, 6), n) * rising_factorial(Rational(5, 6), n)
-        total = total + scalar / math.factorial(n) * power
-    return total
+    """The hypergeometric sum sum_n hypergeom_term(n) P^n over P = z^2 (1-6wz)^(-3)."""
+    p = TruncSeries.monomial((2,), 1, order) * _one_minus_6wz(order) ** -3
+    terms = (hypergeom_term(n) * p_n for n, p_n in enumerate(p.powers()))
+    return sum(terms, TruncSeries.zero(order))
 
 
 # -- the closed identity enumeration ------------------------------------------
@@ -447,8 +445,4 @@ def verify(identity: str, order: int) -> IdentityReport:
         raise ValueError(
             f"unknown identity {identity!r}; choose from {', '.join(IDENTITIES)}"
         ) from None
-    if not isinstance(order, int):
-        raise TypeError(f"order must be an int, got {type(order).__name__}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    return checker(order)
+    return checker(_check_nonnegative_int(order, "order"))

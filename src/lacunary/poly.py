@@ -37,8 +37,8 @@ class UPolynomial:
         cleaned: dict[Exponent, Rational] = {}
         if coeffs:
             for (du, dx), c in coeffs.items():
-                if du < 0 or dx < 0:
-                    raise ValueError(f"negative exponent ({du}, {dx})")
+                _check_nonnegative_int(du, "exponent")
+                _check_nonnegative_int(dx, "exponent")
                 if not isinstance(c, (int, Rational)):
                     raise TypeError(f"coefficients are int or Fraction, got {type(c).__name__}")
                 q = Rational(c)
@@ -147,9 +147,7 @@ class UPolynomial:
         return self * (1 / q)
 
     def __pow__(self, k: int) -> "UPolynomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"polynomial power must be a nonnegative int, got {k!r}")
-        return _power(self, k, POLY_ONE)
+        return _power(self, _check_nonnegative_int(k, "polynomial power"), POLY_ONE)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -206,9 +204,19 @@ def _make(coeffs: dict[Exponent, Rational]) -> UPolynomial:
     return poly
 
 
+def _check_nonnegative_int(value, name: str) -> int:
+    """``value`` if it is an int >= 0: the one check of every order, index,
+    exponent and power, raising TypeError for another type, ValueError below 0."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _power(base, k: int, one):
     """``base ** k`` for an int k >= 0 by repeated squaring, ``one`` at k = 0: the
-    one power routine of polynomials, series and M-expressions."""
+    one power routine of polynomials and series."""
     result = one
     while k:
         if k & 1:

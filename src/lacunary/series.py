@@ -53,7 +53,7 @@ from itertools import accumulate, repeat, takewhile
 from operator import mul
 from typing import Iterator, Mapping, Sequence, Tuple
 
-from .poly import POLY_ONE, POLY_ZERO, UPolynomial, _power
+from .poly import POLY_ONE, POLY_ZERO, UPolynomial, _check_nonnegative_int, _power
 from .poly import _make as _make_poly
 
 Exponents = Tuple[int, ...]
@@ -72,10 +72,7 @@ class TruncSeries:
         coeffs: Mapping[Exponents, UPolynomial] | None = None,
         vars: Sequence[str] = DEFAULT_VARS,
     ):
-        if not isinstance(order, int):
-            raise TypeError(f"truncation order must be an int, got {type(order).__name__}")
-        if order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {order}")
+        _check_nonnegative_int(order, "truncation order")
         names = tuple(vars)
         if not 1 <= len(names) <= 2:
             raise ValueError(f"series support 1 or 2 variables, got {names}")
@@ -83,8 +80,10 @@ class TruncSeries:
         if coeffs:
             for exps, poly in coeffs.items():
                 e = tuple(exps)
-                if len(e) != len(names) or any(k < 0 for k in e):
+                if len(e) != len(names):
                     raise ValueError(f"bad exponent tuple {e} for variables {names}")
+                for k in e:
+                    _check_nonnegative_int(k, "exponent")
                 if not isinstance(poly, UPolynomial):
                     poly = UPolynomial.constant(poly)
                 if any(dx for (_, dx), _ in poly.items()):
@@ -147,8 +146,8 @@ class TruncSeries:
         e = tuple(exponents)
         if len(e) != len(self.vars):
             raise ValueError(f"expected {len(self.vars)} exponents, got {e}")
-        if any(k < 0 for k in e):
-            raise ValueError(f"negative exponents {e}")
+        for k in e:
+            _check_nonnegative_int(k, "exponent")
         if sum(e) > self.order:
             raise ValueError(f"exponents {e} beyond truncation order {self.order}")
         b = e[1] if len(e) == 2 else 0
@@ -237,7 +236,8 @@ class TruncSeries:
         scalar constant c, and c = 1 when q > 1: g_0 = c^p and
         g_d = 1/(q*d*c) * sum_{e=1..d} ((p+q)*e - q*d) * s_e * g_(d-e)."""
         if not isinstance(alpha, (int, Rational)):
-            raise ValueError(f"series power must be an int or a Rational, got {alpha!r}")
+            kind = type(alpha).__name__
+            raise TypeError(f"series power must be an int or a Rational, got {kind}")
         p, q = alpha.numerator, alpha.denominator
         if q == 1 and p >= 0:
             return _power(self, p, TruncSeries.one(self.order, self.vars))
@@ -267,7 +267,7 @@ class TruncSeries:
 
     def truncated(self, order: int) -> "TruncSeries":
         """The same series at a lower (or equal) truncation order."""
-        if order > self.order:
+        if _check_nonnegative_int(order, "truncation order") > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return _make(order, {d: p for d, p in self._parts.items() if d <= order}, self.vars)
 

@@ -8,11 +8,14 @@ perfect-matching moment ``m_moment(n)``; odd degrees vanish.  A product or
 an evaluation is one ``_sum_products`` pass of the series kernel per
 M-degree, over M-coefficients each lifted once.
 
-Like series, sums and products take the smaller operand order and need
-equal variable sets.  Nothing is truncated in M.  Sums and products keep
-every nonzero coefficient, and ``umbral_eval`` sums them all.  The
-exponential constructors sum over ``TruncSeries.powers()`` of their
-argument, which must have zero constant term, so they stop by themselves.
+The paper's umbral proofs need only exponentials of one M-monomial
+(``exp_of_m_power``), their products and the moment functional, so that is
+all an M-expression does: the constructor, ``*`` between two M-expressions
+and ``umbral_eval``.  Like a series product, a product takes the smaller
+operand order and needs equal variable sets.  Nothing is truncated in M.  A
+product keeps every nonzero coefficient, and ``umbral_eval`` sums them all.
+``exp_of_m_power`` sums over ``TruncSeries.powers()`` of its argument,
+which must have zero constant term, so it stops by itself.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction as Rational
 from typing import Mapping
 
 from .hermite import m_moment
-from .poly import _power
+from .poly import _check_nonnegative_int
 from .report import IdentityReport, compare_series
 from .series import _LIFTED_ONE, TruncSeries, _lift, _make, _operand, _sum_products
 
@@ -42,7 +45,7 @@ class MExpression:
         cleaned: dict[int, TruncSeries] = {}
         order = vars = None
         for d, series in coeffs.items():
-            _check_m_degree(d)
+            _check_nonnegative_int(d, "M-degree")
             if order is None:
                 order, vars = series.order, series.vars
             elif (series.order, series.vars) != (order, vars):
@@ -53,22 +56,10 @@ class MExpression:
         self.vars = vars
         self._coeffs = cleaned
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_series(cls, series: TruncSeries) -> "MExpression":
-        """Embed an ordinary series as the M-degree-0 part."""
-        return cls({0: series})
-
-    @classmethod
-    def umbra(cls, order: int, vars=("z",)) -> "MExpression":
-        """The bare umbra M."""
-        return cls({1: TruncSeries.one(order, vars)})
-
     # -- inspection ----------------------------------------------------------
 
     def coefficient(self, mdeg: int) -> TruncSeries:
-        _check_m_degree(mdeg)
+        _check_nonnegative_int(mdeg, "M-degree")
         return self._coeffs.get(mdeg) or TruncSeries.zero(self.order, self.vars)
 
     def __eq__(self, other) -> bool:
@@ -82,41 +73,11 @@ class MExpression:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, value) -> tuple:
-        """``_operand`` of ``value``, a series or constant joining as M-degree 0."""
-        if isinstance(value, MExpression):
-            # an expression has the order and vars of its coefficients
-            _, order = _operand(value.coefficient(0), self.order, self.vars)
-            return value, order
-        series, order = _operand(value, self.order, self.vars)
-        return (series if series is NotImplemented else MExpression({0: series})), order
-
-    def __add__(self, other) -> "MExpression":
-        other, order = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {0: TruncSeries.zero(order, self.vars)}
-        for expr in (self, other):
-            for d, series in expr._coeffs.items():
-                out[d] = out[d] + series if d in out else series.truncated(order)
-        return MExpression(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MExpression":
-        out = {d: -s for d, s in self._coeffs.items()}
-        return MExpression(out) if out else self
-
-    def __sub__(self, other) -> "MExpression":
-        other, _ = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "MExpression":
-        other, order = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, MExpression):
             return NotImplemented
+        # an expression has the order and vars of its coefficients
+        _, order = _operand(other.coefficient(0), self.order, self.vars)
         lifted_b = [(db, _lift(sb._parts)) for db, sb in other._coeffs.items()]
         groups: dict[int, list] = {0: []}  # so a zero product keeps its order and vars
         for da, sa in self._coeffs.items():
@@ -125,20 +86,6 @@ class MExpression:
                 groups.setdefault(da + db, []).append((1, lifted_a, lb))
         out = {d: _sum_products(products, order) for d, products in groups.items()}
         return MExpression({d: _make(order, parts, self.vars) for d, parts in out.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "MExpression":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"M-expression power must be a nonnegative int, got {k!r}")
-        return _power(self, k, MExpression.from_series(TruncSeries.one(self.order, self.vars)))
-
-
-def _check_m_degree(d) -> None:
-    if not isinstance(d, int):
-        raise TypeError(f"M-degrees must be int, got {type(d).__name__}")
-    if d < 0:
-        raise ValueError(f"negative M-degree {d}")
 
 
 def umbral_eval(expr: MExpression) -> TruncSeries:

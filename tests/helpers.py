@@ -132,7 +132,12 @@ def check_eval_linearity(count: int) -> None:
         q = _random_mexpr(rng, order, top)
         a = random_series(rng, order)
         b = random_series(rng, order)
-        lhs = umbral_eval(a * p + b * q)
+        # a p + b q, coefficient by coefficient, with a p and b q as products
+        ap, bq = MExpression({0: a}) * p, MExpression({0: b}) * q
+        combined = MExpression(
+            {d: ap.coefficient(d) + bq.coefficient(d) for d in range(top + 1)}
+        )
+        lhs = umbral_eval(combined)
         rhs = a * umbral_eval(p) + b * umbral_eval(q)
         assert lhs == rhs
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from lacunary import Rational, identities
-from lacunary.hermite import hermite_h
+from lacunary.hermite import hermite_H, hermite_h
 from lacunary.identities import (
     catalan_number,
     hypergeom_form_check,
@@ -209,6 +209,55 @@ def test_non_int_order_is_a_type_error(order, kind):
     for name in ("doetsch", "w-routes"):
         with pytest.raises(TypeError, match=f"order must be an int, got {kind}$"):
             verify(name, order)
+
+
+_Z = TruncSeries.variable("z", 4)
+
+# every order, index, exponent and power is checked as an int >= 0 before use
+BAD_INT_ARGUMENTS = [
+    # a non-int is a TypeError naming its type
+    ("truncated", lambda: TruncSeries.one(4).truncated(2.5), TypeError),
+    ("poly exponent", lambda: UPolynomial({(2.5, 0): 1}), TypeError),
+    ("u power", lambda: UPolynomial.u(power=2.5), TypeError),
+    ("series exponent", lambda: TruncSeries(4, {(2.5,): 1}), TypeError),
+    ("coefficient", lambda: TruncSeries.one(4).coefficient((2.5,)), TypeError),
+    ("hermite_h", lambda: hermite_h(2.5), TypeError),
+    ("hermite_H", lambda: hermite_H(2.5), TypeError),
+    ("lhs_lacunary", lambda: lhs_lacunary(3, 2.5), TypeError),
+    ("one_cycle_factor", lambda: one_cycle_factor(2.5), TypeError),
+    ("multi_cycle_factor", lambda: multi_cycle_factor(2.5), TypeError),
+    ("hypergeom_form_check", lambda: hypergeom_form_check(2.5), TypeError),
+    ("w_series", lambda: w_series(2.5), TypeError),
+    ("w_fixed_point", lambda: w_fixed_point(2.5), TypeError),
+    ("tree_gf", lambda: tree_gf(2.5), TypeError),
+    ("rhs_main", lambda: rhs_main(2.5), TypeError),
+    ("series pow", lambda: (1 + _Z) ** 0.5, TypeError),
+    ("poly pow", lambda: UPolynomial.u() ** 2.5, TypeError),
+    # a negative int is a ValueError naming its value
+    ("truncated", lambda: TruncSeries.one(4).truncated(-1), ValueError),
+    ("poly exponent", lambda: UPolynomial({(-1, 0): 1}), ValueError),
+    ("series exponent", lambda: TruncSeries(4, {(-1,): 1}), ValueError),
+    ("coefficient", lambda: TruncSeries.one(4).coefficient((-1,)), ValueError),
+    ("hermite_h", lambda: hermite_h(-1), ValueError),
+    ("lhs_lacunary", lambda: lhs_lacunary(3, -1), ValueError),
+    ("one_cycle_factor", lambda: one_cycle_factor(-1), ValueError),
+    ("multi_cycle_factor", lambda: multi_cycle_factor(-1), ValueError),
+    ("hypergeom_form_check", lambda: hypergeom_form_check(-1), ValueError),
+    ("w_fixed_point", lambda: w_fixed_point(-1), ValueError),
+    ("rhs_main", lambda: rhs_main(-1), ValueError),
+    ("poly pow", lambda: UPolynomial.u() ** -1, ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [case[1:] for case in BAD_INT_ARGUMENTS],
+    ids=[f"{name}-{error.__name__}" for name, _, error in BAD_INT_ARGUMENTS],
+)
+def test_bad_int_arguments_are_rejected(build, error):
+    match = "got float$" if error is TypeError else "must be >= 0, got -1$"
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_mismatch_reporting():

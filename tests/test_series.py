@@ -186,7 +186,7 @@ def test_pow_rejects_bad_constant_and_float_exponent():
     with pytest.raises(ValueError, match="constant term"):
         (2 * one(3) + z(3)) ** Rational(1, 2)
     for alpha in (0.5, 2.0, -1.0):
-        with pytest.raises(ValueError, match="int or a Rational"):
+        with pytest.raises(TypeError, match="int or a Rational"):
             (one(3) + z(3)) ** alpha
 
 
@@ -558,8 +558,7 @@ def m_expression_cases():
         orders = (order, order + trial % 3)  # every third pair has equal orders
         yield tuple(random_m_expression(rng, k, vars) for k in orders)
     s = TruncSeries(3, {(1,): UPolynomial.u(1, Rational(2, 3)), (0,): Rational(-5, 4)})
-    M = MExpression.umbra(3)
-    yield s + M * s, M * s - s  # M-degree 1 cancels
+    yield MExpression({0: s, 1: s}), MExpression({0: -s, 1: s})  # M-degree 1 cancels
     yield MExpression({0: TruncSeries.zero(2)}), random_m_expression(rng, 5, ("z",))
 
 
@@ -580,17 +579,19 @@ def test_m_expression_eval_matches_schoolbook():
 
 
 def test_m_expression_mul_edge_cases():
-    M = MExpression.umbra(3)
+    M = MExpression({1: TruncSeries.one(3)})
     s = TruncSeries(3, {(1,): UPolynomial.u(1, Rational(2, 3)), (0,): Rational(-5, 4)})
-    product = (s + M * s) * (M * s - s)
+    # (s + M s) (M s - s) = M^2 s^2 - s^2
+    product = MExpression({0: s, 1: s}) * MExpression({0: -s, 1: s})
     assert not product.coefficient(1)
     assert product.coefficient(2) == s * s
+    assert product.coefficient(0) == -(s * s)
     # every M-degree cancels: the zero product keeps the operands' order and vars
     z2 = TruncSeries.variable("z", 3) ** 2
-    vanished = (M * z2) * MExpression.from_series(z2)
+    vanished = MExpression({1: z2}) * MExpression({0: z2})
     assert vanished == MExpression({0: TruncSeries.zero(3)})
     # a zero operand gives a zero product at the smaller order
     zero = MExpression({0: TruncSeries.zero(5)})
     assert zero * M == M * zero == MExpression({0: TruncSeries.zero(3)})
     with pytest.raises(ValueError, match="incompatible variable sets"):
-        M * MExpression.umbra(3, ("z", "x"))
+        M * MExpression({1: TruncSeries.one(3, ("z", "x"))})
