@@ -22,11 +22,11 @@ against ``one_cycle_factor``, and ``hypergeom`` the hypergeometric sum of
 factors.  The closed form and the integral route are written in s, so no
 route divides by z.  Nothing is cached; w is cheap to rebuild.
 
-The right side of ``main`` is built term by term, as
-sum_n c_n z^(2n) Y_n with Y_n = e^T s^(-1/2-3n): ``rhs_main`` solves an
-ODE for Y_0 and a first-order step from Y_(n-1) to Y_n as recurrences on
-``int`` rows over one denominator, so ``main`` reads neither w nor any
-factor builder and multiplies no series.  The product of the three factors,
+The right side F of ``main`` is D-finite: ``rhs_main`` solves the
+second-order operator that annihilates it, ``_F_OPERATOR``, as one
+recurrence on the ``int`` rows G_t = t! F_t, which are the coefficient lists
+of the h_(3t) that F predicts.  So ``main`` reads neither w nor c_n nor any
+factor builder, and multiplies no series.  The product of the three factors,
 ``rhs_main_product_route``, is its check, run by ``rhs-main-routes``.
 
 The identities themselves form a closed enumeration (see IDENTITIES);
@@ -105,17 +105,24 @@ def w_series(order: int) -> TruncSeries:
     )
 
 
+def _egf_series(order: int, rows, step: int) -> TruncSeries:
+    """sum_t row_t(u) z^t / t! of integer rows, entry i of row t at u^(t%step + step*i)."""
+    parts, scale = {}, 1
+    for t, row in enumerate(rows):
+        scale *= t or 1
+        parts[t] = _make_poly(
+            {(t % step + step * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}
+        )
+    return _make_series(order, parts, DEFAULT_VARS)
+
+
 def lhs_lacunary(stride: int, order: int) -> TruncSeries:
     """sum_{n<=order} h_{stride*n}(u) z^n / n! for stride 2 or 3."""
-    if stride not in (2, 3):
+    if _check_nonnegative_int(stride, "stride") not in (2, 3):
         raise ValueError(f"stride must be 2 or 3, got {stride}")
     _check_nonnegative_int(order, "truncation order")
     h = islice(hermite_coefficients(HermiteKind.PROBABILIST), 0, stride * order + 1, stride)
-    parts = {}
-    for n, h_n in enumerate(h):
-        scale = math.factorial(n)
-        parts[n] = _make_poly({(i, 0): Rational(a, scale) for i, a in enumerate(h_n) if a})
-    return _make_series(order, parts, DEFAULT_VARS)
+    return _egf_series(order, h, 1)
 
 
 def rhs_doetsch(order: int) -> TruncSeries:
@@ -206,108 +213,45 @@ def rhs_main_product_route(order: int) -> TruncSeries:
     return tree_gf(order).exp() * (one_cycle_factor(order) * multi_cycle_factor(order))
 
 
-# -- the right side of main, term by term --------------------------------------
-# rhs_main = sum_n c_n z^(2n) Y_n with Y_n = e^T s^(-1/2-3n), s = sqrt(1 - 12uz).
-# An operator sum c z^j u^p (d/dz)^k is the table {(k, j, p): c}.  The z^m
-# coefficient of each Y_n holds u^m, u^(m+2), ..., u^(3m); its *row* is the list
-# of the m + 1 integer numerators of these over one common denominator.
-
-# Y_0 = e^T (1 - 12uz)^(-1/4) is the solution with Y_0(0) = 1 of
-# A2 Y'' + A1 Y' + A0 Y = 0, which follows from T' = 8u^3 / (1 + s)^3.
-_Y0_OPERATOR = {
-    # A0 = -3u - u^3 + (72u^2 + 27u^4) z + (243u - 432u^3 - 216u^5) z^2
-    #      + (432u^6 - 2187u^2) z^3 + 2187u^3 z^4
-    (0, 0, 1): -3, (0, 0, 3): -1, (0, 1, 2): 72, (0, 1, 4): 27,
-    (0, 2, 1): 243, (0, 2, 3): -432, (0, 2, 5): -216,
-    (0, 3, 2): -2187, (0, 3, 6): 432, (0, 4, 3): 2187,
-    # A1 = 1 - 36uz + (459u^2 - 81) z^2 + (2106u - 2376u^3) z^3
-    #      + (3888u^4 - 15552u^2) z^4 + 23328u^3 z^5
-    (1, 0, 0): 1, (1, 1, 1): -36, (1, 2, 0): -81, (1, 2, 2): 459,
-    (1, 3, 1): 2106, (1, 3, 3): -2376, (1, 4, 2): -15552, (1, 4, 4): 3888,
-    (1, 5, 3): 23328,
-    # A2 = -27 z^3 (1 - 3uz) (1 - 12uz)^2
-    (2, 3, 0): -27, (2, 4, 1): 729, (2, 5, 2): -5832, (2, 6, 3): 11664,
+# -- the right side of main, from its own ODE ----------------------------------
+# F = rhs_main is the power-series solution with F(0) = 1 of
+#     27 z^3 (3uz - 1) F'' + (1 - 12uz - 81z^2 + 27u^2 z^2 + 162uz^3) F'
+#         + (3u^4 z - u^3 - 3u + 18uz^2 - 15z) F = 0,
+# kept as the table {(k, j, p): c} of its terms c z^j u^p (d/dz)^k.
+_F_OPERATOR = {
+    (0, 0, 1): -3, (0, 0, 3): -1, (0, 1, 0): -15, (0, 1, 4): 3, (0, 2, 1): 18,
+    (1, 0, 0): 1, (1, 1, 1): -12, (1, 2, 0): -81, (1, 2, 2): 27, (1, 3, 1): 162,
+    (2, 3, 0): -27, (2, 4, 1): 81,
 }
-
-# Y_(n-1) = s^3 Y_n and Y_n'/Y_n = T' + 3u (1 + 6n) / s^2 give the step
-# (1 - 21uz + 108u^2 z^2 + 162 (1 + 6n) u z^3) Y_n - 54 z^3 (1 - 12uz) Y_n'
-#     = (1 - 3uz) Y_(n-1).
-_STEP_SOURCE = {(0, 0, 0): 1, (0, 1, 1): -3}
-
-
-def _step_operator(n):
-    """The left side of the step from Y_(n-1) to Y_n."""
-    return {
-        (0, 0, 0): 1, (0, 1, 1): -21, (0, 2, 2): 108, (0, 3, 1): 162 * (1 + 6 * n),
-        (1, 3, 0): -54, (1, 4, 1): 648,
-    }
-
-
-def _operator_terms(operator, t: int, lead: int) -> dict:
-    """{(row r, index shift): int factor} of the terms of ``operator`` in the
-    equation for row t, its z^(t - lead) coefficient: c z^j u^p (d/dz)^k reads
-    row r = t - lead - j + k times c r!/(r-k)! and moves index i to i + shift."""
-    factors: dict = {}
-    for (k, j, p), c in operator.items():
-        r = t - lead - j + k
-        if r >= 0:
-            key = (r, (p + k - j - lead) // 2)
-            factors[key] = factors.get(key, 0) + c * math.perm(r, k)
-    return factors
-
-
-def _add_rows(acc, factors, rows, sign=1) -> None:
-    """acc += sign * factor * (shifted row) for each of ``factors``; acc[i + 1]
-    holds index i.  Every shift of these operators is -1, 0 or 1, and what
-    lands outside the row cancels."""
-    for (r, shift), f in factors.items():
-        if f:
-            row, lo = rows[r], 1 + shift
-            hi = lo + len(row)
-            acc[lo:hi] = map(add, acc[lo:hi], map((sign * f).__mul__, row))
-
-
-def _solve_rows(operator, lead, order, rows, source=None, previous=()) -> list:
-    """Extend ``rows`` to rows 0..order of the series y with operator(y) =
-    source(previous): the equation for row t, the z^(t - lead) coefficient,
-    is solved for its one term on row t."""
-    for t in range(len(rows), order + 1):
-        acc = [0] * (t + 3)
-        if source:
-            _add_rows(acc, _operator_terms(source, t, lead), previous)
-        terms = _operator_terms(operator, t, lead)
-        d = terms.pop((t, 0))
-        _add_rows(acc, terms, rows, -1)
-        row = acc[1 : t + 2]
-        rows.append(row if d == 1 else [a // d for a in row])
-    return rows
 
 
 def rhs_main(order: int) -> TruncSeries:
-    """exp(T) (1-6wz)^(-1/2) sum_n c_n z^(2n) (1-6wz)^(-3n) as sum_n c_n z^(2n) Y_n,
-    each Y_n by an integer recurrence, every row over order! * lcm(den c_n)."""
-    _check_nonnegative_int(order, "truncation order")
-    coeffs = [multi_cycle_coefficient(n) for n in range(order // 2 + 1)]
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    scale = math.factorial(order)
-    # part d holds u^(d%2), u^(d%2 + 2), ..., u^(3d); Y_n's z^m row enters it at
-    # d = m + 2n, from index d//2 - n
-    total = [[0] * (d + d // 2 + 1) for d in range(order + 1)]
-    rows = _solve_rows(_Y0_OPERATOR, 1, order, [[scale]])
-    for n, c in enumerate(coeffs):
-        if n:
-            rows = _solve_rows(_step_operator(n), 0, order - 2 * n, [], _STEP_SOURCE, rows)
-        f = c.numerator * (lcm // c.denominator)
-        for m, row in enumerate(rows):
-            d = m + 2 * n
-            out, lo, hi = total[d], d // 2 - n, d // 2 - n + len(row)
-            out[lo:hi] = map(add, out[lo:hi], map(f.__mul__, row))
-    den = scale * lcm
-    parts = {
-        d: _make_poly({(d % 2 + 2 * i, 0): Rational(a, den) for i, a in enumerate(row) if a})
-        for d, row in enumerate(total)
-    }
-    return _make_series(order, parts, DEFAULT_VARS)
+    """exp(T) (1-6wz)^(-1/2) sum_n c_n z^(2n) (1-6wz)^(-3n), solved from its own
+    operator for the integer rows G_t = t! F_t: row t lists the coefficients of
+    u^(t%2), u^(t%2 + 2), ..., u^(3t), as those of the h_(3t) it predicts do.
+
+    Times (t-1)!, the z^(t-1) coefficient of the equation holds row t once, as the
+    entry (1, 0, 0) times G_t; that entry is 1, so the other terms move across with
+    the sign -1 and no division.  Each other entry c z^j u^p (d/dz)^k reads row
+    r = t-1-j+k < t, as c r!/(r-k)! (t-1)!/r! u^p G_r = c perm(r, k) perm(t-1, j-k)
+    u^p G_r; every entry has p <= 3(j-k+1), so none reaches past u^(3t)."""
+    sign = -_F_OPERATOR[1, 0, 0]
+    rows = [[1]]
+    for t in range(1, _check_nonnegative_int(order, "truncation order") + 1):
+        # terms that read the same row at the same shift share one multiply
+        factors: dict = {}
+        for (k, j, p), c in _F_OPERATOR.items():
+            r = t - 1 - j + k
+            if 0 <= r < t:
+                key = (r, (r % 2 + p - t % 2) >> 1)
+                factors[key] = factors.get(key, 0) + c * math.perm(r, k) * math.perm(t - 1, j - k)
+        acc = [0] * (len(rows[-1]) + 2 - t % 2)  # t + floor(t/2) + 1 slots
+        for (r, lo), f in factors.items():
+            row = rows[r]
+            hi = lo + len(row)
+            acc[lo:hi] = map(add, acc[lo:hi], map((sign * f).__mul__, row))
+        rows.append(acc)
+    return _egf_series(order, rows, 2)
 
 
 # -- hypergeometric form -------------------------------------------------------

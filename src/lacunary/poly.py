@@ -71,6 +71,8 @@ class UPolynomial:
 
     def coefficient(self, deg_u: int, deg_x: int = 0) -> Rational:
         """Exact coefficient of u^deg_u * x^deg_x (0 if absent)."""
+        _check_nonnegative_int(deg_u, "exponent")
+        _check_nonnegative_int(deg_x, "exponent")
         return self._coeffs.get((deg_u, deg_x), Rational(0))
 
     def is_constant(self) -> bool:
@@ -206,8 +208,9 @@ def _make(coeffs: dict[Exponent, Rational]) -> UPolynomial:
 
 def _check_nonnegative_int(value, name: str) -> int:
     """``value`` if it is an int >= 0: the one check of every order, index,
-    exponent and power, raising TypeError for another type, ValueError below 0."""
-    if not isinstance(value, int):
+    exponent and power, raising TypeError for another type (a bool included),
+    ValueError below 0."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")

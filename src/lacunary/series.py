@@ -235,7 +235,7 @@ class TruncSeries:
         an integer alpha >= 0, else by the power recurrence, which needs a nonzero
         scalar constant c, and c = 1 when q > 1: g_0 = c^p and
         g_d = 1/(q*d*c) * sum_{e=1..d} ((p+q)*e - q*d) * s_e * g_(d-e)."""
-        if not isinstance(alpha, (int, Rational)):
+        if not isinstance(alpha, (int, Rational)) or isinstance(alpha, bool):
             kind = type(alpha).__name__
             raise TypeError(f"series power must be an int or a Rational, got {kind}")
         p, q = alpha.numerator, alpha.denominator

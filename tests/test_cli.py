@@ -102,8 +102,8 @@ FACTOR_MUTANTS = [
     ("w_series", "w-routes", 3),
     ("tree_gf", "tree-gf-routes", 3),
     ("one_cycle_factor", "one-cycle-routes", 3),
-    # main sums c_n z^(2n) Y_n by recurrences and reads none of these builders;
-    # rhs-main-routes compares it with their product
+    # main solves its right side's own ODE and reads none of these builders;
+    # rhs-main-routes compares that solution with their product
     ("tree_gf", "rhs-main-routes", 3),
     ("one_cycle_factor", "rhs-main-routes", 3),
     ("multi_cycle_factor", "rhs-main-routes", 3),
@@ -145,25 +145,33 @@ def test_routes_identity_catches_a_wrong_factor(capsys, monkeypatch, builder, id
     )
 
 
-# (what rhs_main reads, how it is changed, first exponent that mismatches)
+# (what is changed, how, the identity that reads it, first exponent that mismatches)
 MAIN_TERM_MUTANTS = [
-    # A2's top term 11664 u^3 z^6 first enters the equation for z^7
-    ("_Y0_OPERATOR", lambda exact: {**exact, (2, 6, 3): exact[2, 6, 3] + 1}, 7),
-    # the step's 162 (1 + 6n) u z^3 read as 162 * 6n u z^3
-    ("_step_operator", lambda exact: lambda n: {**exact(n), (0, 3, 1): 162 * 6 * n}, 6),
-    ("multi_cycle_coefficient", lambda exact: lambda n: exact(n) + (1 if n == 1 else 0), 2),
+    # rhs_main's 81 u z^4 F'' first reads row 2, in the equation for row 5
+    ("_F_OPERATOR", lambda exact: {**exact, (2, 4, 1): exact[2, 4, 1] + 1}, "main", 5),
+    # main reads no c_n; the product route does, through the multi-cycle factor
+    (
+        "multi_cycle_coefficient",
+        lambda exact: lambda n: exact(n) + (1 if n == 1 else 0),
+        "rhs-main-routes",
+        2,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, mutate, exponent", MAIN_TERM_MUTANTS, ids=[name for name, _, _ in MAIN_TERM_MUTANTS]
+    "name, mutate, identity, exponent",
+    MAIN_TERM_MUTANTS,
+    ids=[name for name, *_ in MAIN_TERM_MUTANTS],
 )
-def test_main_catches_a_wrong_term(capsys, monkeypatch, name, mutate, exponent):
-    """A wrong recurrence table or multi-cycle scalar fails main at its first exponent."""
+def test_main_catches_a_wrong_term(capsys, monkeypatch, name, mutate, identity, exponent):
+    """A wrong operator entry or multi-cycle scalar fails its identity at its first exponent."""
     monkeypatch.setattr(cli.identities, name, mutate(getattr(cli.identities, name)))
-    code, out = run_cli(capsys, "verify", "main", "--order", "8")
+    code, out = run_cli(capsys, "verify", identity, "--order", "8")
     assert code == 1
-    assert out.startswith(f"main @ order 8: mismatch\n  first mismatch at exponents [{exponent}]\n")
+    assert out.startswith(
+        f"{identity} @ order 8: mismatch\n  first mismatch at exponents [{exponent}]\n"
+    )
 
 
 def test_two_variable_mismatch_reports_exponent_tuples(capsys, monkeypatch):

@@ -129,8 +129,8 @@ def test_cycle_factor_closed_forms_match_every_route(order):
 
 
 def test_rhs_main_composition():
-    """The term-by-term sum equals exp(T) * one-cycle * multi-cycle exactly; orders
-    0-2 keep only the n = 0 term or few n, and 48 sums 25 terms."""
+    """The solution of the operator equals exp(T) * one-cycle * multi-cycle exactly,
+    from order 0, where it is the one row G_0 = 1, to 20 and at 48."""
     for order in [*range(21), 48]:
         product = tree_gf(order).exp() * one_cycle_factor(order) * multi_cycle_factor(order)
         assert rhs_main(order) == rhs_main_product_route(order) == product, order
@@ -144,18 +144,12 @@ def test_route_identities_at_order_48(name):
 
 
 def test_main_fails_for_every_recurrence_entry_off_by_one(monkeypatch):
-    """rhs_main reads every entry of the Y_0 operator and of the step."""
-    y0, source, step = identities._Y0_OPERATOR, identities._STEP_SOURCE, identities._step_operator
-    mutants = [("_Y0_OPERATOR", key, {**y0, key: c + 1}) for key, c in y0.items()]
-    mutants += [("_STEP_SOURCE", key, {**source, key: c + 1}) for key, c in source.items()]
-    mutants += [
-        ("_step_operator", key, lambda n, key=key: {**step(n), key: step(n)[key] + 1})
-        for key in step(1)
-    ]
-    for name, key, mutant in mutants:
+    """rhs_main reads every entry of its operator."""
+    exact = identities._F_OPERATOR
+    for key, c in exact.items():
         with monkeypatch.context() as patch:
-            patch.setattr(identities, name, mutant)
-            assert not verify("main", 8).verified, (name, key)
+            patch.setattr(identities, "_F_OPERATOR", {**exact, key: c + 1})
+            assert not verify("main", 8).verified, key
 
 
 def test_main_identity_first_order_by_hand():
@@ -216,47 +210,55 @@ _Z = TruncSeries.variable("z", 4)
 # every order, index, exponent and power is checked as an int >= 0 before use
 BAD_INT_ARGUMENTS = [
     # a non-int is a TypeError naming its type
-    ("truncated", lambda: TruncSeries.one(4).truncated(2.5), TypeError),
-    ("poly exponent", lambda: UPolynomial({(2.5, 0): 1}), TypeError),
-    ("u power", lambda: UPolynomial.u(power=2.5), TypeError),
-    ("series exponent", lambda: TruncSeries(4, {(2.5,): 1}), TypeError),
-    ("coefficient", lambda: TruncSeries.one(4).coefficient((2.5,)), TypeError),
-    ("hermite_h", lambda: hermite_h(2.5), TypeError),
-    ("hermite_H", lambda: hermite_H(2.5), TypeError),
-    ("lhs_lacunary", lambda: lhs_lacunary(3, 2.5), TypeError),
-    ("one_cycle_factor", lambda: one_cycle_factor(2.5), TypeError),
-    ("multi_cycle_factor", lambda: multi_cycle_factor(2.5), TypeError),
-    ("hypergeom_form_check", lambda: hypergeom_form_check(2.5), TypeError),
-    ("w_series", lambda: w_series(2.5), TypeError),
-    ("w_fixed_point", lambda: w_fixed_point(2.5), TypeError),
-    ("tree_gf", lambda: tree_gf(2.5), TypeError),
-    ("rhs_main", lambda: rhs_main(2.5), TypeError),
-    ("series pow", lambda: (1 + _Z) ** 0.5, TypeError),
-    ("poly pow", lambda: UPolynomial.u() ** 2.5, TypeError),
+    ("truncated", lambda: TruncSeries.one(4).truncated(2.5), TypeError, "float"),
+    ("poly exponent", lambda: UPolynomial({(2.5, 0): 1}), TypeError, "float"),
+    ("u power", lambda: UPolynomial.u(power=2.5), TypeError, "float"),
+    ("series exponent", lambda: TruncSeries(4, {(2.5,): 1}), TypeError, "float"),
+    ("coefficient", lambda: TruncSeries.one(4).coefficient((2.5,)), TypeError, "float"),
+    ("hermite_h", lambda: hermite_h(2.5), TypeError, "float"),
+    ("hermite_H", lambda: hermite_H(2.5), TypeError, "float"),
+    ("lhs_lacunary", lambda: lhs_lacunary(3, 2.5), TypeError, "float"),
+    ("one_cycle_factor", lambda: one_cycle_factor(2.5), TypeError, "float"),
+    ("multi_cycle_factor", lambda: multi_cycle_factor(2.5), TypeError, "float"),
+    ("hypergeom_form_check", lambda: hypergeom_form_check(2.5), TypeError, "float"),
+    ("w_series", lambda: w_series(2.5), TypeError, "float"),
+    ("w_fixed_point", lambda: w_fixed_point(2.5), TypeError, "float"),
+    ("tree_gf", lambda: tree_gf(2.5), TypeError, "float"),
+    ("rhs_main", lambda: rhs_main(2.5), TypeError, "float"),
+    ("series pow", lambda: (1 + _Z) ** 0.5, TypeError, "float"),
+    ("poly pow", lambda: UPolynomial.u() ** 2.5, TypeError, "float"),
+    ("poly coefficient", lambda: UPolynomial.u().coefficient(2.5), TypeError, "float"),
+    ("poly coefficient x", lambda: UPolynomial.u().coefficient(1, 2.5), TypeError, "float"),
+    ("lhs_lacunary stride", lambda: lhs_lacunary(2.0, 4), TypeError, "float"),
+    # a bool is not an order, though Python counts it as an int
+    ("verify bool", lambda: verify("main", True), TypeError, "bool"),
+    ("rhs_main bool", lambda: rhs_main(True), TypeError, "bool"),
+    ("series pow bool", lambda: (1 + _Z) ** True, TypeError, "bool"),
     # a negative int is a ValueError naming its value
-    ("truncated", lambda: TruncSeries.one(4).truncated(-1), ValueError),
-    ("poly exponent", lambda: UPolynomial({(-1, 0): 1}), ValueError),
-    ("series exponent", lambda: TruncSeries(4, {(-1,): 1}), ValueError),
-    ("coefficient", lambda: TruncSeries.one(4).coefficient((-1,)), ValueError),
-    ("hermite_h", lambda: hermite_h(-1), ValueError),
-    ("lhs_lacunary", lambda: lhs_lacunary(3, -1), ValueError),
-    ("one_cycle_factor", lambda: one_cycle_factor(-1), ValueError),
-    ("multi_cycle_factor", lambda: multi_cycle_factor(-1), ValueError),
-    ("hypergeom_form_check", lambda: hypergeom_form_check(-1), ValueError),
-    ("w_fixed_point", lambda: w_fixed_point(-1), ValueError),
-    ("rhs_main", lambda: rhs_main(-1), ValueError),
-    ("poly pow", lambda: UPolynomial.u() ** -1, ValueError),
+    ("truncated", lambda: TruncSeries.one(4).truncated(-1), ValueError, "-1"),
+    ("poly exponent", lambda: UPolynomial({(-1, 0): 1}), ValueError, "-1"),
+    ("series exponent", lambda: TruncSeries(4, {(-1,): 1}), ValueError, "-1"),
+    ("coefficient", lambda: TruncSeries.one(4).coefficient((-1,)), ValueError, "-1"),
+    ("hermite_h", lambda: hermite_h(-1), ValueError, "-1"),
+    ("lhs_lacunary", lambda: lhs_lacunary(3, -1), ValueError, "-1"),
+    ("one_cycle_factor", lambda: one_cycle_factor(-1), ValueError, "-1"),
+    ("multi_cycle_factor", lambda: multi_cycle_factor(-1), ValueError, "-1"),
+    ("hypergeom_form_check", lambda: hypergeom_form_check(-1), ValueError, "-1"),
+    ("w_fixed_point", lambda: w_fixed_point(-1), ValueError, "-1"),
+    ("rhs_main", lambda: rhs_main(-1), ValueError, "-1"),
+    ("poly pow", lambda: UPolynomial.u() ** -1, ValueError, "-1"),
+    ("poly coefficient", lambda: UPolynomial.u().coefficient(-1), ValueError, "-1"),
+    ("poly coefficient x", lambda: UPolynomial.u().coefficient(1, -1), ValueError, "-1"),
 ]
 
 
 @pytest.mark.parametrize(
-    "build, error",
+    "build, error, got",
     [case[1:] for case in BAD_INT_ARGUMENTS],
-    ids=[f"{name}-{error.__name__}" for name, _, error in BAD_INT_ARGUMENTS],
+    ids=[f"{name}-{error.__name__}" for name, _, error, _ in BAD_INT_ARGUMENTS],
 )
-def test_bad_int_arguments_are_rejected(build, error):
-    match = "got float$" if error is TypeError else "must be >= 0, got -1$"
-    with pytest.raises(error, match=match):
+def test_bad_int_arguments_are_rejected(build, error, got):
+    with pytest.raises(error, match=f"got {got}$"):
         build()
 
 
@@ -337,74 +339,40 @@ def test_series_match_sympy_expansion(name, builder, order):
         assert sp.expand(expansion.coeff_monomial(z**n) - ours) == 0, (name, n)
 
 
-def _split_in_s(sp, expr, s):
-    """(even, odd) with expr = even + odd * s, both rational in s^2 only."""
-    num, den = sp.fraction(sp.together(expr))
-    num, den = sp.expand(num * den.subs(s, -s)), sp.expand(den * den.subs(s, -s))
-    even, odd = 0, 0
-    for (e,), c in sp.Poly(num, s).terms():
-        if e % 2:
-            odd += c * s ** (e - 1)
-        else:
-            even += c * s**e
-    return even / den, odd / den
-
-
-def _table(sp, polys, z, u):
-    """{(k, j, p): c} of sum_k polys[k] (d/dz)^k with polys[k] = sum c z^j u^p."""
-    return {
-        (k, j, p): sp.expand(c)
-        for k, poly in enumerate(polys)
-        for (j, p), c in sp.Poly(poly, z, u).terms()
-    }
-
-
-def _main_recurrence_symbols():
-    """Y_n = e^T s^(-1/2-3n) with s = sqrt(1 - 12uz) and T' = 8u^3 / (1+s)^3:
-    the logarithmic derivative of Y_n and the substitution z = (1 - s^2) / (12u)."""
+def test_f_operator_annihilates_the_right_side():
+    """_F_OPERATOR kills F = e^T s^(-1/2) y(54z^2/s^3) for every solution y of the
+    2F0(1/6, 5/6;; x) equation x^2 y'' + (2x - 1) y' + (5/36) y = 0, of which
+    sum_n c_n z^(2n) s^(-3n) is the formal one.  It works in the field Q(u, s), whose
+    fractions stay in lowest terms, with s = sqrt(1 - 12uz), z = (1 - s^2) / (12u),
+    w = 2u / (1 + s) and d/dz = -(6u/s) d/ds: F^(k) / (e^T s^(-1/2)) is
+    A_k y + B_k y' once y'' is eliminated, and the operator's sums of the A_k and of
+    the B_k are both 0."""
     sp = pytest.importorskip("sympy")
-    u, z, s, n = sp.symbols("u z s n")
-    w = (1 - sp.sqrt(1 - 12 * u * z)) / (6 * z)
+    field, u, s = sp.field("u, s", sp.QQ)
+    z = (1 - s**2) / (12 * u)
+    w = 2 * u / (1 + s)
     tree = (w - u) * (3 * u - w) / 6
-    tree_prime = 8 * u**3 / (1 + s) ** 3
-    at_z = {s: sp.sqrt(1 - 12 * u * z)}
-    assert sp.simplify(sp.diff(tree, z) - tree_prime.subs(at_z)) == 0
-    log_derivative = tree_prime + 3 * u * (1 + 6 * n) / s**2  # d/dz log Y_n
-    return sp, u, z, s, n, log_derivative, at_z
 
+    def d_dz(expr):
+        return -6 * u / s * expr.diff(s)
 
-def _to_polys(sp, exprs, z, u, at_z):
-    """Rational functions of u and s^2 as coprime polynomials in u, z."""
-    exprs = [sp.cancel(e.subs(at_z)) for e in exprs]
-    den = sp.lcm([sp.fraction(sp.together(e))[1] for e in exprs])
-    polys = [sp.cancel(e * den) for e in exprs]
-    g = sp.gcd_list(polys)
-    return [sp.expand(sp.cancel(p / g)) for p in polys]
-
-
-def test_y0_operator_is_derived_from_the_tree_series():
-    """A2 Y'' + A1 Y' + A0 Y = 0 for Y_0 = e^T (1-12uz)^(-1/4), derived as the
-    relation among Y, Y' = aY and Y'' = (a' + a^2) Y over Q(u, z)(s)."""
-    sp, u, z, s, n, log_derivative, at_z = _main_recurrence_symbols()
-    a = log_derivative.subs(n, 0)
-    a_even, a_odd = _split_in_s(sp, a, s)
-    b_even, b_odd = _split_in_s(sp, sp.diff(a, s) * (-6 * u / s) + a**2, s)
-    a0, a1, a2 = _to_polys(sp, [b_odd * a_even - a_odd * b_even, -b_odd, a_odd], z, u, at_z)
-    lead = a1.subs(z, 0)
-    derived = _table(sp, [sp.expand(c / lead) for c in (a0, a1, a2)], z, u)
-    assert derived == identities._Y0_OPERATOR
-
-
-def test_step_operator_is_derived_from_the_tree_series():
-    """(P + Q d/dz) Y_n = R Y_(n-1) with Y_(n-1) = s^3 Y_n: the odd part in s gives
-    Q = R (1-12uz) / odd(a_n), the even part P = -Q even(a_n); R = 1 - 3uz is the
-    least denominator of both."""
-    sp, u, z, s, n, log_derivative, at_z = _main_recurrence_symbols()
-    a_even, a_odd = _split_in_s(sp, log_derivative, s)
-    q = (1 - 12 * u * z) / a_odd.subs(at_z)
-    p, q, r = _to_polys(sp, [-q * a_even, q, sp.Integer(1)], z, u, at_z)
-    lead = p.subs(z, 0)
-    p, q, r = (sp.expand(c / lead) for c in (p, q, r))
-    assert _table(sp, [r], z, u) == identities._STEP_SOURCE
-    step = {key: sp.expand(c) for key, c in identities._step_operator(n).items()}
-    assert _table(sp, [p, q], z, u) == step
+    log_derivative = d_dz(tree) - d_dz(s) / (2 * s)  # of e^T s^(-1/2)
+    x = 54 * z**2 / s**3
+    dx = d_dz(x)
+    derivatives = [(field.one, field.zero)]
+    for _ in range(2):
+        # d/dz (a y + b y') = (a' + a log_derivative) y + (a dx + b' + b log_derivative) y'
+        #     + b dx y'', with x^2 y'' = -(2x - 1) y' - (5/36) y
+        a, b = derivatives[-1]
+        derivatives.append((
+            d_dz(a) + a * log_derivative - b * dx * sp.Rational(5, 36) / x**2,
+            a * dx + d_dz(b) + b * log_derivative - b * dx * (2 * x - 1) / x**2,
+        ))
+    for part in (0, 1):
+        total = sum(
+            c * z**j * u**p * derivatives[k][part]
+            for (k, j, p), c in identities._F_OPERATOR.items()
+        )
+        assert total == 0, part
+    # the entry rhs_main reads row t from, without dividing by it
+    assert identities._F_OPERATOR[1, 0, 0] == 1
