@@ -8,19 +8,20 @@ coefficients in u.  The central object is the weighted rooted-tree series
 
 whose z^n coefficient is 3^n * C_n * u^(n+1) with C_n the Catalan numbers,
 and 1 - 6wz = s = sqrt(1 - 12uz), so w = 2u (1 + s)^(-1).  Each factor is
-built by one route, from its coefficient formula: ``w_series`` by that
-Catalan formula, ``tree_gf`` by its explicit coefficients, and the two cycle
-factors as binomial series in 1 - 12uz, ``one_cycle_factor`` =
-(1 - 12uz)^(-1/4) and ``multi_cycle_factor`` = sum_n c_n z^(2n)
-(1 - 12uz)^(-3n/2).  The other routes are checks only: ``w-routes``
-compares the fixed point and the closed form against ``w_series``,
-``tree-gf-routes`` the product and integral routes against ``tree_gf``,
-``one-cycle-routes`` the power (1 - 6wz)^(-1/2) and the exp-log route
-against ``one_cycle_factor``, and ``hypergeom`` the hypergeometric sum of
-``hypergeom_term(n)`` times the powers of z^2 (1 - 6wz)^(-3) against
-``multi_cycle_factor``; the last two carry the check of w against the cycle
-factors.  The closed form and the integral route are written in s, so no
-route divides by z.  Nothing is cached; w is cheap to rebuild.
+built by one route, ``_ratio_series``, from coefficients that are each the
+last times a rational term ratio: ``w_series`` by that Catalan formula,
+``tree_gf`` by its explicit one, and the two cycle factors as binomial
+series, ``one_cycle_factor`` = (1 - 12uz)^(-1/4) and ``multi_cycle_factor`` =
+sum_n c_n z^(2n) (1 - 12uz)^(-3n/2), one run per n.  The other routes are
+checks only: ``w-routes`` compares the fixed point and the closed form
+against ``w_series``, ``tree-gf-routes`` the product and integral routes
+against ``tree_gf``, ``one-cycle-routes`` the power (1 - 6wz)^(-1/2) and the
+exp-log route against ``one_cycle_factor``, and ``hypergeom`` the
+hypergeometric sum of ``hypergeom_term(n)`` times the powers of
+z^2 (1 - 6wz)^(-3) against ``multi_cycle_factor``; the last two carry the
+check of w against the cycle factors.  The closed form and the integral
+route are written in s, so no route divides by z.  Nothing is cached; w is
+cheap to rebuild.
 
 The right side F of ``main`` is D-finite: ``rhs_main`` solves the
 second-order operator that annihilates it, ``_F_OPERATOR``, as one
@@ -94,25 +95,35 @@ def w_closed_form(order: int) -> TruncSeries:
     return 2 * POLY_U * (1 + _sqrt_1_minus_12uz(order)) ** -1
 
 
+def _ratio_series(order: int, runs) -> TruncSeries:
+    """The sum over ``runs`` (z0, u0, t0, ratio) of t_k u^(u0+k) z^(z0+k), z0+k <= order,
+    with t_(k+1) = t_k p/q for (p, q) = ratio(k): one int numerator and denominator
+    per run, which ends at its first zero term."""
+    parts: dict[int, dict] = {}
+    for z0, u0, t0, ratio in runs:
+        num, den = t0.numerator, t0.denominator
+        for k in range(_check_nonnegative_int(order, "truncation order") - z0 + 1):
+            if not num:
+                break
+            parts.setdefault(z0 + k, {})[(u0 + k, 0)] = Rational(num, den)
+            p, q = ratio(k)
+            num, den = num * p, den * q
+    return _make_series(order, {d: _make_poly(p) for d, p in parts.items()}, DEFAULT_VARS)
+
+
 def w_series(order: int) -> TruncSeries:
-    """The tree series w by its coefficients: z^n |-> 3^n * C_n * u^(n+1)."""
-    return TruncSeries(
-        order,
-        {
-            (n,): UPolynomial.u(power=n + 1, coeff=3**n * catalan_number(n))
-            for n in range(_check_nonnegative_int(order, "truncation order") + 1)
-        },
-    )
+    """The tree series w by its coefficients: z^n |-> 3^n C_n u^(n+1), of ratio 6(2n+1)/(n+2)."""
+    return _ratio_series(order, [(0, 1, 1, lambda n: (6 * (2 * n + 1), n + 2))])
 
 
 def _egf_series(order: int, rows, step: int) -> TruncSeries:
-    """sum_t row_t(u) z^t / t! of integer rows, entry i of row t at u^(t%step + step*i)."""
+    """sum_t row_t(u) z^t / t! of integer rows, entry i of row t at u^(t%step + step*i);
+    an all-zero row stores no part."""
     parts, scale = {}, 1
     for t, row in enumerate(rows):
         scale *= t or 1
-        parts[t] = _make_poly(
-            {(t % step + step * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}
-        )
+        if part := {(t % step + step * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}:
+            parts[t] = _make_poly(part)
     return _make_series(order, parts, DEFAULT_VARS)
 
 
@@ -152,12 +163,9 @@ def tree_gf_integral_route(order: int) -> TruncSeries:
 
 
 def tree_gf(order: int) -> TruncSeries:
-    """The unrooted-tree series T = sum_{n>=1} 3^n (2n)!/(n+2)! u^(n+2) z^n / n!."""
-    coeffs = {}
-    for n in range(1, _check_nonnegative_int(order, "truncation order") + 1):
-        c = Rational(3**n * math.factorial(2 * n), math.factorial(n + 2) * math.factorial(n))
-        coeffs[(n,)] = UPolynomial.u(power=n + 2, coeff=c)
-    return TruncSeries(order, coeffs)
+    """The unrooted-tree series T = sum_{n>=1} 3^n (2n)!/(n+2)! u^(n+2) z^n / n!, whose
+    ratio from z^n to z^(n+1) is 6(2n+1)/(n+3); its run starts at z^1, so n = k + 1."""
+    return _ratio_series(order, [(1, 3, 1, lambda k: (6 * (2 * k + 3), k + 4))])
 
 
 # -- cycle factors ------------------------------------------------------------
@@ -176,18 +184,14 @@ def one_cycle_power_route(order: int) -> TruncSeries:
 
 
 def one_cycle_factor(order: int) -> TruncSeries:
-    """(1 - 6wz)^(-1/2) = (1 - 12uz)^(-1/4): graphs whose components are single
-    cycles of trees, by its coefficients u^k z^k |-> 3^k prod_{j<k} (1+4j) / k!."""
-    parts, num, den = {}, 1, 1
-    for k in range(_check_nonnegative_int(order, "truncation order") + 1):
-        parts[k] = _make_poly({(k, 0): Rational(num, den)})
-        num *= 3 * (1 + 4 * k)
-        den *= k + 1
-    return _make_series(order, parts, DEFAULT_VARS)
+    """(1 - 6wz)^(-1/2) = (1 - 12uz)^(-1/4): graphs whose components are single cycles
+    of trees, by its coefficients u^k z^k |-> 3^k prod_{j<k} (1+4j)/k!, of ratio 3(1+4k)/(k+1)."""
+    return _ratio_series(order, [(0, 0, 1, lambda k: (3 * (1 + 4 * k), k + 1))])
 
 
 def multi_cycle_coefficient(n: int) -> Rational:
     """(6n)! / (2^(3n) (3n)! (2n)!), the z^(2n) scalar of the multi-cycle sum."""
+    _check_nonnegative_int(n, "n")
     return Rational(
         math.factorial(6 * n), 2 ** (3 * n) * math.factorial(3 * n) * math.factorial(2 * n)
     )
@@ -195,17 +199,13 @@ def multi_cycle_coefficient(n: int) -> Rational:
 
 def multi_cycle_factor(order: int) -> TruncSeries:
     """sum_n c_n z^(2n) (1-6wz)^(-3n) = sum_n c_n z^(2n) (1-12uz)^(-3n/2), with
-    c_n = ``multi_cycle_coefficient(n)``, by its coefficients
-    u^k z^(2n+k) |-> c_n 6^k prod_{j<k} (3n+2j) / k!; for n = 0 only k = 0."""
-    parts: dict[int, dict] = {}
-    for n in range(_check_nonnegative_int(order, "truncation order") // 2 + 1):
-        c = multi_cycle_coefficient(n)
-        num, den = c.numerator, c.denominator
-        for k in range(order - 2 * n + 1 if n else 1):
-            parts.setdefault(2 * n + k, {})[(k, 0)] = Rational(num, den)
-            num *= 6 * (3 * n + 2 * k)
-            den *= k + 1
-    return _make_series(order, {d: _make_poly(p) for d, p in parts.items()}, DEFAULT_VARS)
+    c_n = ``multi_cycle_coefficient(n)``: one run per n, u^k z^(2n+k) |-> c_n 6^k
+    prod_{j<k} (3n+2j) / k!, of ratio 6(3n+2k)/(k+1), which ends after c_0 at n = 0."""
+    runs = [
+        (2 * n, 0, multi_cycle_coefficient(n), lambda k, n=n: (6 * (3 * n + 2 * k), k + 1))
+        for n in range(_check_nonnegative_int(order, "truncation order") // 2 + 1)
+    ]
+    return _ratio_series(order, runs)
 
 
 def rhs_main_product_route(order: int) -> TruncSeries:
@@ -257,21 +257,13 @@ def rhs_main(order: int) -> TruncSeries:
 # -- hypergeometric form -------------------------------------------------------
 
 
-def rising_factorial(a: Rational, n: int) -> Rational:
-    out = Rational(1)
-    for i in range(n):
-        out = out * (a + i)
-    return out
-
-
 def hypergeom_term(n: int) -> Rational:
-    """(1/6)_n (5/6)_n 54^n / n!, the 2F0-style expansion scalar."""
-    return (
-        rising_factorial(Rational(1, 6), n)
-        * rising_factorial(Rational(5, 6), n)
-        * 54**n
-        / math.factorial(n)
-    )
+    """(1/6)_n (5/6)_n 54^n / n!, the 2F0-style expansion scalar, as the product of
+    its ratios (1/6 + i)(5/6 + i) 54 / (i + 1) over i < n."""
+    num = den = 1
+    for i in range(_check_nonnegative_int(n, "n")):  # (1/6 + i)(5/6 + i) = (1+6i)(5+6i)/36
+        num, den = num * (1 + 6 * i) * (5 + 6 * i) * 54, den * 36 * (i + 1)
+    return Rational(num, den)
 
 
 def hypergeom_form_check(terms: int) -> IdentityReport:

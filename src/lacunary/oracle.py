@@ -51,7 +51,7 @@ from typing import Dict, Iterator, NamedTuple, Tuple
 
 from . import identities
 from .hermite import hermite_h
-from .poly import POLY_ZERO, UPolynomial
+from .poly import POLY_ZERO, UPolynomial, _check_nonnegative_int
 
 MATCHING_BOUND = 14
 W_TREE_BOUND = 5
@@ -77,7 +77,7 @@ def iter_matchings(items: Tuple[int, ...]) -> Iterator[Pairs]:
 
 def enumerate_matchings(m: int) -> UPolynomial:
     """Weighted census sum u^(#fixed points) over all matchings of an m-set."""
-    if not 0 <= m <= MATCHING_BOUND:
+    if _check_nonnegative_int(m, "m") > MATCHING_BOUND:
         raise ValueError(f"matching enumeration supports 0 <= m <= {MATCHING_BOUND}, got {m}")
     counts: Dict[int, int] = {}
     for pairs in iter_matchings(tuple(range(m))):
@@ -111,7 +111,7 @@ class ComponentCensus(NamedTuple):
 @lru_cache(maxsize=None)
 def enumerate_marked_graphs(n: int) -> ComponentCensus:
     """Census of all marked graphs on n vertices, keyed by component profile."""
-    if not 0 <= n <= MARKED_GRAPH_BOUND:
+    if _check_nonnegative_int(n, "n") > MARKED_GRAPH_BOUND:
         raise ValueError(
             f"marked-graph enumeration supports 0 <= n <= {MARKED_GRAPH_BOUND}, got {n}"
         )
@@ -195,7 +195,7 @@ def _count_w_trees(labels: Tuple[int, ...]) -> int:
 
 def enumerate_w_trees(n: int) -> int:
     """Count distinct w-trees with n internal vertices."""
-    if not 0 <= n <= W_TREE_BOUND:
+    if _check_nonnegative_int(n, "n") > W_TREE_BOUND:
         raise ValueError(f"w-tree enumeration supports 0 <= n <= {W_TREE_BOUND}, got {n}")
     return _count_w_trees(tuple(range(n)))
 
@@ -249,7 +249,7 @@ def factor_census_check(n_max: int) -> CensusCheckReport:
     (an absent profile counts 0), and the total census is h_{3n}(u).
     Mismatches are collected, not raised.
     """
-    if not 0 <= n_max <= MARKED_GRAPH_BOUND:
+    if _check_nonnegative_int(n_max, "n_max") > MARKED_GRAPH_BOUND:
         raise ValueError(f"census check supports 0 <= n_max <= {MARKED_GRAPH_BOUND}, got {n_max}")
     component_gfs = (
         identities.tree_gf(n_max),

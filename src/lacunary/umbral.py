@@ -103,7 +103,7 @@ def exp_of_m_power(s: TruncSeries, power: int) -> MExpression:
 
     ``s`` must have zero constant term; the sum runs over ``s.powers()``.
     """
-    if power < 1:
+    if _check_nonnegative_int(power, "power") < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     return MExpression(
         {power * d: s_d / math.factorial(d) for d, s_d in enumerate(s.powers())}

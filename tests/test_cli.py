@@ -156,13 +156,23 @@ MAIN_TERM_MUTANTS = [
         "rhs-main-routes",
         2,
     ),
+    # hypergeom compares the scalars before the series, so its scalar check fires
+    (
+        "multi_cycle_coefficient",
+        lambda exact: lambda n: exact(n) + (1 if n == 1 else 0),
+        "hypergeom",
+        1,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "name, mutate, identity, exponent",
     MAIN_TERM_MUTANTS,
-    ids=[name for name, *_ in MAIN_TERM_MUTANTS],
+    ids=[
+        name if identity != "hypergeom" else f"{name}-{identity}"
+        for name, _, identity, _ in MAIN_TERM_MUTANTS
+    ],
 )
 def test_main_catches_a_wrong_term(capsys, monkeypatch, name, mutate, identity, exponent):
     """A wrong operator entry or multi-cycle scalar fails its identity at its first exponent."""
@@ -171,6 +181,18 @@ def test_main_catches_a_wrong_term(capsys, monkeypatch, name, mutate, identity, 
     assert code == 1
     assert out.startswith(
         f"{identity} @ order 8: mismatch\n  first mismatch at exponents [{exponent}]\n"
+    )
+
+
+def test_corollary_mismatch_stops_before_ecor(capsys, monkeypatch):
+    """A wrong fourth moment fails the corollary half, at z^2 x^0, and ecor never runs."""
+    exact = umbral.m_moment
+    monkeypatch.setattr(umbral, "m_moment", lambda n: exact(n) + (n == 4))
+    code, out = run_cli(capsys, "verify", "corollary-ecor", "--order", "8")
+    assert code == 1
+    assert out == (
+        "corollary-ecor @ order 8: mismatch\n  first mismatch at exponents [2, 0]\n"
+        "  lhs: 2\n  rhs: 3/2\n"
     )
 
 

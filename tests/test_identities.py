@@ -28,9 +28,16 @@ from lacunary.identities import (
     w_fixed_point,
     w_series,
 )
+from lacunary.oracle import (
+    enumerate_marked_graphs,
+    enumerate_matchings,
+    enumerate_w_trees,
+    factor_census_check,
+)
 from lacunary.poly import UPolynomial
 from lacunary.report import compare_series
 from lacunary.series import TruncSeries
+from lacunary.umbral import exp_of_m_power
 
 from helpers import multi_cycle_power_sum
 
@@ -230,10 +237,24 @@ BAD_INT_ARGUMENTS = [
     ("poly coefficient", lambda: UPolynomial.u().coefficient(2.5), TypeError, "float"),
     ("poly coefficient x", lambda: UPolynomial.u().coefficient(1, 2.5), TypeError, "float"),
     ("lhs_lacunary stride", lambda: lhs_lacunary(2.0, 4), TypeError, "float"),
+    ("exp_of_m_power", lambda: exp_of_m_power(_Z, 2.0), TypeError, "float"),
+    ("multi_cycle_coefficient", lambda: multi_cycle_coefficient(2.0), TypeError, "float"),
+    ("hypergeom_term", lambda: hypergeom_term(2.0), TypeError, "float"),
+    ("enumerate_matchings", lambda: enumerate_matchings(2.0), TypeError, "float"),
+    ("enumerate_w_trees", lambda: enumerate_w_trees(2.0), TypeError, "float"),
+    ("enumerate_marked_graphs", lambda: enumerate_marked_graphs(2.0), TypeError, "float"),
+    ("factor_census_check", lambda: factor_census_check(2.0), TypeError, "float"),
     # a bool is not an order, though Python counts it as an int
     ("verify bool", lambda: verify("main", True), TypeError, "bool"),
     ("rhs_main bool", lambda: rhs_main(True), TypeError, "bool"),
     ("series pow bool", lambda: (1 + _Z) ** True, TypeError, "bool"),
+    ("exp_of_m_power bool", lambda: exp_of_m_power(_Z, True), TypeError, "bool"),
+    ("multi_cycle_coefficient bool", lambda: multi_cycle_coefficient(True), TypeError, "bool"),
+    ("hypergeom_term bool", lambda: hypergeom_term(True), TypeError, "bool"),
+    ("enumerate_matchings bool", lambda: enumerate_matchings(True), TypeError, "bool"),
+    ("enumerate_w_trees bool", lambda: enumerate_w_trees(True), TypeError, "bool"),
+    ("enumerate_marked_graphs bool", lambda: enumerate_marked_graphs(True), TypeError, "bool"),
+    ("factor_census_check bool", lambda: factor_census_check(True), TypeError, "bool"),
     # a negative int is a ValueError naming its value
     ("truncated", lambda: TruncSeries.one(4).truncated(-1), ValueError, "-1"),
     ("poly exponent", lambda: UPolynomial({(-1, 0): 1}), ValueError, "-1"),
@@ -249,6 +270,13 @@ BAD_INT_ARGUMENTS = [
     ("poly pow", lambda: UPolynomial.u() ** -1, ValueError, "-1"),
     ("poly coefficient", lambda: UPolynomial.u().coefficient(-1), ValueError, "-1"),
     ("poly coefficient x", lambda: UPolynomial.u().coefficient(1, -1), ValueError, "-1"),
+    ("exp_of_m_power", lambda: exp_of_m_power(_Z, -1), ValueError, "-1"),
+    ("multi_cycle_coefficient", lambda: multi_cycle_coefficient(-1), ValueError, "-1"),
+    ("hypergeom_term", lambda: hypergeom_term(-1), ValueError, "-1"),
+    ("enumerate_matchings", lambda: enumerate_matchings(-1), ValueError, "-1"),
+    ("enumerate_w_trees", lambda: enumerate_w_trees(-1), ValueError, "-1"),
+    ("enumerate_marked_graphs", lambda: enumerate_marked_graphs(-1), ValueError, "-1"),
+    ("factor_census_check", lambda: factor_census_check(-1), ValueError, "-1"),
 ]
 
 
@@ -259,6 +287,16 @@ BAD_INT_ARGUMENTS = [
 )
 def test_bad_int_arguments_are_rejected(build, error, got):
     with pytest.raises(error, match=f"got {got}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [(lambda: exp_of_m_power(_Z, 2.0), "power"), (lambda: factor_census_check(True), "n_max")],
+)
+def test_int_check_names_the_argument(build, name):
+    """The check blames the argument given, not a value derived from it further in."""
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
         build()
 
 
@@ -274,6 +312,15 @@ def test_mismatch_reporting():
     d = report.to_dict()
     assert d["status"] == "mismatch"
     assert d["mismatch"]["exponents"] == [1]
+
+
+def test_egf_series_stores_no_part_for_a_zero_row():
+    """A zero row adds no part: the series equals the constructor's, and all-zero rows
+    make a zero series."""
+    egf = identities._egf_series(3, [[1], [0], [0, 0], [1, 0, 0, 0]], 1)
+    assert egf == TruncSeries(3, {(0,): 1, (3,): Rational(1, 6)})
+    zero = identities._egf_series(2, [[0], [0, 0], [0, 0, 0]], 2)
+    assert not zero and zero == TruncSeries.zero(2)
 
 
 def test_compare_series_rejects_shape_mismatch():
