@@ -1,13 +1,15 @@
-"""The two Hermite normalizations and the moment sequence they share.
+"""The two Hermite normalizations, the moment sequence they share, and the one
+integer row solver of the linear ODEs behind every row sequence in ``lacunary``.
 
 ``hermite_h`` is the matchings normalization with exponential generating
 function e^(u*z + z^2/2): h_n(u) sums u^(#unmatched) over all matchings of
 an n-set, so every coefficient is a nonnegative integer.  ``hermite_H`` is
 the physicists' normalization with generating function e^(2*u*z - z^2).
-Both come from one iterative three-term recurrence on ``int`` coefficient
-lists, ``hermite_coefficients`` (both kinds have integer coefficients), and
-``hermite`` makes a ``UPolynomial`` of one list; the cross-checks live in
-the test suite.
+Each EGF solves F' = (u + z) F or F' = (2u - 2z) F, whose tables
+``_OPERATORS`` holds; ``operator_rows`` solves them for the ``int`` rows
+t! F_t, the coefficient lists of h_t and H_t, as ``identities`` solves the
+right sides of both headline identities from theirs.  ``hermite`` makes a
+``UPolynomial`` of one row; the cross-checks live in the test suite.
 
 ``m_moment`` is the moment sequence (2k)!/(2^k k!) on even indices and 0 on
 odd ones, i.e. the number of perfect matchings of an n-set; it drives the
@@ -24,8 +26,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from collections.abc import Iterator
 from itertools import count, islice
+from operator import add
 
 from .poly import UPolynomial, _check_nonnegative_int
 
@@ -37,25 +41,47 @@ class HermiteKind(enum.Enum):
     PHYSICIST = "H"  # EGF e^(2 u z - z^2), leading coefficient 2^n
 
 
-# (c, d) of the three-term recurrence P_{k+1} = c*u*P_k + d*k*P_{k-1}, P_0 = 1
-_RECURRENCE = {HermiteKind.PROBABILIST: (1, 1), HermiteKind.PHYSICIST: (2, -2)}
+def operator_rows(operator: dict, stride: int) -> Iterator[list[int]]:
+    """The int rows G_t = t! F_t, t = 0, 1, ..., of the power series F with F(0) = 1
+    that the operator {(k, j, p): c} of terms c z^j u^p (d/dz)^k annihilates.  Row t
+    lists the coefficients of u^(m%2), u^(m%2 + 2), ..., u^m for m = stride*t, as
+    those of h_m do; every entry has p <= stride(j-k+1), so none reaches past u^m.
+
+    Times (t-1)!, the z^(t-1) coefficient of the equation holds row t once, as the
+    entry (1, 0, 0) times G_t; that entry is 1, read as the sign the other terms move
+    across with, so no row is divided.  Each other entry reads row r = t-1-j+k < t,
+    as c r!/(r-k)! (t-1)!/r! u^p G_r = c perm(r, k) perm(t-1, j-k) u^p G_r, so only
+    the last max(j-k)+1 rows are kept."""
+    sign = -operator[1, 0, 0]
+    rows = deque([[1]], maxlen=max(j - k for k, j, _ in operator) + 1)
+    yield rows[-1]
+    for t in count(1):
+        # terms that read the same row at the same shift share one multiply
+        factors: dict = {}
+        for (k, j, p), c in operator.items():
+            r = t - 1 - j + k
+            if 0 <= r < t:
+                key = (r - t, (stride * r % 2 + p - stride * t % 2) >> 1)
+                factors[key] = factors.get(key, 0) + c * math.perm(r, k) * math.perm(t - 1, j - k)
+        acc = [0] * (stride * t // 2 + 1)
+        for n, ((back, lo), f) in enumerate(factors.items()):
+            row = rows[back]
+            hi = lo + len(row)
+            scaled = map((sign * f).__mul__, row)
+            acc[lo:hi] = map(add, acc[lo:hi], scaled) if n else scaled  # the first adds to 0
+        rows.append(acc)
+        yield acc
 
 
-def hermite_coefficients(kind: HermiteKind) -> Iterator[list[int]]:
-    """P_0, P_1, ... of one kind as coefficient lists indexed by degree in u."""
-    c, d = _RECURRENCE[kind]
-    previous, current = [], [1]
-    for k in count():
-        yield current
-        following = [0] + [c * a for a in current]
-        for i, a in enumerate(previous):
-            following[i] += d * k * a
-        previous, current = current, following
+_OPERATORS = {  # tables {(k, j, p): c} of terms c z^j u^p (d/dz)^k
+    HermiteKind.PROBABILIST: {(1, 0, 0): 1, (0, 0, 1): -1, (0, 1, 0): -1},  # F' = (u + z) F
+    HermiteKind.PHYSICIST: {(1, 0, 0): 1, (0, 0, 1): -2, (0, 1, 0): 2},  # F' = (2u - 2z) F
+}
 
 
 def hermite(kind: HermiteKind, n: int) -> UPolynomial:
-    coeffs = next(islice(hermite_coefficients(kind), _check_nonnegative_int(n, "n"), None))
-    return UPolynomial({(i, 0): a for i, a in enumerate(coeffs) if a})
+    row = next(islice(operator_rows(_OPERATORS[kind], 1), _check_nonnegative_int(n, "n"), None))
+    return UPolynomial({(n % 2 + 2 * i, 0): a for i, a in enumerate(row) if a})
 
 
 def hermite_h(n: int) -> UPolynomial:
@@ -74,4 +100,3 @@ def m_moment(n: int) -> int:
         return 0
     k = n // 2
     return math.factorial(2 * k) // (2**k * math.factorial(k))
-

@@ -23,12 +23,12 @@ check of w against the cycle factors.  The closed form and the integral
 route are written in s, so no route divides by z.  Nothing is cached; w is
 cheap to rebuild.
 
-The right side F of ``main`` is D-finite: ``rhs_main`` solves the
-second-order operator that annihilates it, ``_F_OPERATOR``, as one
-recurrence on the ``int`` rows G_t = t! F_t, which are the coefficient lists
-of the h_(3t) that F predicts.  So ``main`` reads neither w nor c_n nor any
-factor builder, and multiplies no series.  The product of the three factors,
-``rhs_main_product_route``, is its check, run by ``rhs-main-routes``.
+Both headline right sides are D-finite: ``rhs_main`` and ``rhs_doetsch`` solve
+the operators that annihilate them, ``_F_OPERATOR`` and ``_DOETSCH_OPERATOR``,
+by ``hermite.operator_rows``, which also gives the left sides' Hermite rows.  So
+``main`` reads neither w nor c_n nor any factor builder, and neither headline
+check multiplies a series.  The product of the three factors,
+``rhs_main_product_route``, is main's check, run by ``rhs-main-routes``.
 
 The identities themselves form a closed enumeration (see IDENTITIES);
 ``verify`` builds both sides and compares coefficient by coefficient,
@@ -50,9 +50,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Rational
 from itertools import islice
-from operator import add
 
-from .hermite import HermiteKind, hermite_coefficients
+from .hermite import _OPERATORS, HermiteKind, operator_rows
 from .poly import POLY_U, UPolynomial, _check_nonnegative_int
 from .poly import _make as _make_poly
 from .report import IdentityReport, Mismatch, compare_series
@@ -69,10 +68,6 @@ def catalan_number(n: int) -> int:
 
 def _u_series(order: int) -> TruncSeries:
     return TruncSeries.from_poly(POLY_U, order)
-
-
-def _z(order: int) -> TruncSeries:
-    return TruncSeries.variable("z", order)
 
 
 def w_fixed_point(order: int) -> TruncSeries:
@@ -116,13 +111,14 @@ def w_series(order: int) -> TruncSeries:
     return _ratio_series(order, [(0, 1, 1, lambda n: (6 * (2 * n + 1), n + 2))])
 
 
-def _egf_series(order: int, rows, step: int) -> TruncSeries:
-    """sum_t row_t(u) z^t / t! of integer rows, entry i of row t at u^(t%step + step*i);
-    an all-zero row stores no part."""
+def _egf_series(order: int, rows, stride: int) -> TruncSeries:
+    """sum_(t<=order) row_t(u) z^t / t! of integer rows, entry i of row t at
+    u^(stride*t%2 + 2i); an all-zero row stores no part."""
     parts, scale = {}, 1
-    for t, row in enumerate(rows):
+    for t, row in enumerate(islice(rows, _check_nonnegative_int(order, "truncation order") + 1)):
         scale *= t or 1
-        if part := {(t % step + step * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}:
+        parity = stride * t % 2
+        if part := {(parity + 2 * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}:
             parts[t] = _make_poly(part)
     return _make_series(order, parts, DEFAULT_VARS)
 
@@ -131,17 +127,20 @@ def lhs_lacunary(stride: int, order: int) -> TruncSeries:
     """sum_{n<=order} h_{stride*n}(u) z^n / n! for stride 2 or 3."""
     if _check_nonnegative_int(stride, "stride") not in (2, 3):
         raise ValueError(f"stride must be 2 or 3, got {stride}")
-    _check_nonnegative_int(order, "truncation order")
-    h = islice(hermite_coefficients(HermiteKind.PROBABILIST), 0, stride * order + 1, stride)
-    return _egf_series(order, h, 1)
+    h = islice(operator_rows(_OPERATORS[HermiteKind.PROBABILIST], 1), 0, None, stride)
+    return _egf_series(order, h, stride)
+
+
+# F = rhs_doetsch solves (1 - 2z)^2 F' - (1 - 2z + u^2) F = 0 with F(0) = 1, kept as
+# the table {(k, j, p): c} of its terms c z^j u^p (d/dz)^k.
+_DOETSCH_OPERATOR = {
+    (0, 0, 0): -1, (0, 0, 2): -1, (0, 1, 0): 2, (1, 0, 0): 1, (1, 1, 0): -4, (1, 2, 0): 4,
+}
 
 
 def rhs_doetsch(order: int) -> TruncSeries:
-    """(1 - 2z)^(-1/2) * exp(u^2 z / (1 - 2z))."""
-    one = TruncSeries.one(order)
-    base = one - 2 * _z(order)
-    arg = TruncSeries.monomial((1,), UPolynomial.u(power=2), order) * base**-1
-    return base ** Rational(-1, 2) * arg.exp()
+    """(1 - 2z)^(-1/2) * exp(u^2 z / (1 - 2z)), solved from its own operator."""
+    return _egf_series(order, operator_rows(_DOETSCH_OPERATOR, 2), 2)
 
 
 # -- the tree generating function, three ways --------------------------------
@@ -172,7 +171,7 @@ def tree_gf(order: int) -> TruncSeries:
 
 
 def _one_minus_6wz(order: int) -> TruncSeries:
-    return TruncSeries.one(order) - 6 * w_series(order) * _z(order)
+    return TruncSeries.one(order) - 6 * w_series(order) * TruncSeries.variable("z", order)
 
 
 def one_cycle_exp_log_route(order: int) -> TruncSeries:
@@ -226,32 +225,8 @@ _F_OPERATOR = {
 
 
 def rhs_main(order: int) -> TruncSeries:
-    """exp(T) (1-6wz)^(-1/2) sum_n c_n z^(2n) (1-6wz)^(-3n), solved from its own
-    operator for the integer rows G_t = t! F_t: row t lists the coefficients of
-    u^(t%2), u^(t%2 + 2), ..., u^(3t), as those of the h_(3t) it predicts do.
-
-    Times (t-1)!, the z^(t-1) coefficient of the equation holds row t once, as the
-    entry (1, 0, 0) times G_t; that entry is 1, so the other terms move across with
-    the sign -1 and no division.  Each other entry c z^j u^p (d/dz)^k reads row
-    r = t-1-j+k < t, as c r!/(r-k)! (t-1)!/r! u^p G_r = c perm(r, k) perm(t-1, j-k)
-    u^p G_r; every entry has p <= 3(j-k+1), so none reaches past u^(3t)."""
-    sign = -_F_OPERATOR[1, 0, 0]
-    rows = [[1]]
-    for t in range(1, _check_nonnegative_int(order, "truncation order") + 1):
-        # terms that read the same row at the same shift share one multiply
-        factors: dict = {}
-        for (k, j, p), c in _F_OPERATOR.items():
-            r = t - 1 - j + k
-            if 0 <= r < t:
-                key = (r, (r % 2 + p - t % 2) >> 1)
-                factors[key] = factors.get(key, 0) + c * math.perm(r, k) * math.perm(t - 1, j - k)
-        acc = [0] * (len(rows[-1]) + 2 - t % 2)  # t + floor(t/2) + 1 slots
-        for (r, lo), f in factors.items():
-            row = rows[r]
-            hi = lo + len(row)
-            acc[lo:hi] = map(add, acc[lo:hi], map((sign * f).__mul__, row))
-        rows.append(acc)
-    return _egf_series(order, rows, 2)
+    """exp(T) (1-6wz)^(-1/2) sum_n c_n z^(2n) (1-6wz)^(-3n), solved from its own operator."""
+    return _egf_series(order, operator_rows(_F_OPERATOR, 3), 3)
 
 
 # -- hypergeometric form -------------------------------------------------------

@@ -10,13 +10,14 @@ lacunary, for the tests that must not share the suite's warm caches.
 
 The helpers at the end are test-only: the antiderivative in u, the
 multi-cycle factor as a power sum over P = z^2 (1-6wz)^(-3) (the oracle of
-its closed form), the per-graph model of a marked graph with its union-find
-component profile (the oracle of the census walk), the generator of every
-canonical w-tree (the oracle of the memoized w-tree count), views of
-brute-force objects (the fixed points of a matching, the slots and edges of
-a marked graph), every plane drawing of the w-trees together with the
-quotient that recovers the canonical ones, and the coefficient-wise h/H
-normalization relation.
+its closed form), Doetsch's right side as a product of series (the oracle
+of its solution from its operator), the per-graph model of a marked graph
+with its union-find component profile (the oracle of the census walk), the
+generator of every canonical w-tree (the oracle of the memoized w-tree
+count), views of brute-force objects (the fixed points of a matching, the
+slots and edges of a marked graph), every plane drawing of the w-trees
+together with the quotient that recovers the canonical ones, and the
+coefficient-wise h/H normalization relation.
 """
 
 import itertools
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import lacunary
 from lacunary import Rational
-from lacunary.hermite import HermiteKind, hermite_coefficients
+from lacunary.hermite import hermite_H, hermite_h
 from lacunary.identities import multi_cycle_coefficient, w_series
 from lacunary.poly import UPolynomial
 from lacunary.series import TruncSeries
@@ -225,6 +226,14 @@ def multi_cycle_power_sum(order: int) -> TruncSeries:
     return total
 
 
+def doetsch_product(order: int) -> TruncSeries:
+    """(1 - 2z)^(-1/2) * exp(u^2 z / (1 - 2z)) by the series power, product and exp
+    recurrences: Doetsch's right side without its operator."""
+    base = TruncSeries.one(order) - 2 * TruncSeries.variable("z", order)
+    arg = TruncSeries.monomial((1,), UPolynomial.u(power=2), order) * base**-1
+    return base ** Rational(-1, 2) * arg.exp()
+
+
 # -- marked graphs, one at a time ------------------------------------------------
 
 
@@ -390,9 +399,9 @@ def canonical_w_tree(drawing: tuple) -> tuple:
 
 def normalization_relation_check(n: int) -> bool:
     """Coefficient-wise rational form of the h/H rescaling; True iff it holds at n."""
-    h = next(itertools.islice(hermite_coefficients(HermiteKind.PROBABILIST), n, None))
-    H = next(itertools.islice(hermite_coefficients(HermiteKind.PHYSICIST), n, None))
-    for d, (a, b) in enumerate(zip(h, H)):
+    h, H = hermite_h(n), hermite_H(n)
+    for d in range(n + 1):
+        a, b = h.coefficient(d), H.coefficient(d)
         k, odd = divmod(n - d, 2)  # a term of the wrong parity breaks the relation
         if (a or b) and (odd or b != (-1) ** k * 2 ** (n - k) * a):
             return False

@@ -1,11 +1,12 @@
 """The w series, identity factors, and the coefficient-exact verifier."""
 
 import math
+from itertools import islice
 
 import pytest
 
-from lacunary import Rational, identities
-from lacunary.hermite import hermite_H, hermite_h
+from lacunary import Rational, hermite, identities
+from lacunary.hermite import HermiteKind, hermite_H, hermite_h, operator_rows
 from lacunary.identities import (
     catalan_number,
     hypergeom_form_check,
@@ -39,7 +40,7 @@ from lacunary.report import compare_series
 from lacunary.series import TruncSeries
 from lacunary.umbral import exp_of_m_power
 
-from helpers import multi_cycle_power_sum
+from helpers import doetsch_product, multi_cycle_power_sum, normalization_relation_check
 
 
 def test_catalan_numbers():
@@ -150,13 +151,51 @@ def test_route_identities_at_order_48(name):
     assert verify(name, 48).verified
 
 
+def _main_or_doetsch_verifies() -> bool:
+    return verify("main", 8).verified or verify("doetsch", 8).verified
+
+
+# (the dict that holds a table, its key there, a check that passes only if it is exact):
+# main and doetsch each read their own table and the h table, so a wrong h table must
+# fail both; H feeds neither identity, so the h/H coefficient relation checks it
+OPERATOR_TABLES = [
+    (vars(identities), "_F_OPERATOR", lambda: verify("main", 8).verified),
+    (vars(identities), "_DOETSCH_OPERATOR", lambda: verify("doetsch", 8).verified),
+    (hermite._OPERATORS, HermiteKind.PROBABILIST, _main_or_doetsch_verifies),
+    (
+        hermite._OPERATORS,
+        HermiteKind.PHYSICIST,
+        lambda: all(normalization_relation_check(n) for n in range(9)),
+    ),
+]
+
+
 def test_main_fails_for_every_recurrence_entry_off_by_one(monkeypatch):
-    """rhs_main reads every entry of its operator."""
-    exact = identities._F_OPERATOR
-    for key, c in exact.items():
-        with monkeypatch.context() as patch:
-            patch.setattr(identities, "_F_OPERATOR", {**exact, key: c + 1})
-            assert not verify("main", 8).verified, key
+    """operator_rows reads every entry of each table, the lead entry (1, 0, 0) included,
+    and an entry one too high fails the check that reads the table."""
+    for namespace, name, check in OPERATOR_TABLES:
+        assert check(), name
+        exact = namespace[name]
+        for key, c in exact.items():
+            with monkeypatch.context() as patch:
+                patch.setitem(namespace, name, {**exact, key: c + 1})
+                assert not check(), (name, key)
+
+
+def test_rhs_doetsch_equals_the_product_of_its_factors():
+    """The solution of _DOETSCH_OPERATOR equals the series product of its closed form,
+    exactly, from order 0 (the one row G_0 = 1) to 48."""
+    for order in range(49):
+        assert rhs_doetsch(order) == doetsch_product(order), order
+
+
+@pytest.mark.parametrize("stride, table", [(3, "_F_OPERATOR"), (2, "_DOETSCH_OPERATOR")])
+def test_right_side_rows_are_the_hermite_rows(stride, table):
+    """Before any Fraction is made, row t of each right side's solution is the int
+    coefficient list of h_(stride t) in the one row layout, for t <= 64."""
+    h = operator_rows(hermite._OPERATORS[HermiteKind.PROBABILIST], 1)
+    rhs = operator_rows(getattr(identities, table), stride)
+    assert list(islice(h, 0, 64 * stride + 1, stride)) == list(islice(rhs, 65))
 
 
 def test_main_identity_first_order_by_hand():
@@ -317,7 +356,7 @@ def test_mismatch_reporting():
 def test_egf_series_stores_no_part_for_a_zero_row():
     """A zero row adds no part: the series equals the constructor's, and all-zero rows
     make a zero series."""
-    egf = identities._egf_series(3, [[1], [0], [0, 0], [1, 0, 0, 0]], 1)
+    egf = identities._egf_series(3, [[1], [0], [0, 0], [1, 0, 0, 0]], 2)
     assert egf == TruncSeries(3, {(0,): 1, (3,): Rational(1, 6)})
     zero = identities._egf_series(2, [[0], [0, 0], [0, 0, 0]], 2)
     assert not zero and zero == TruncSeries.zero(2)
@@ -421,5 +460,27 @@ def test_f_operator_annihilates_the_right_side():
             for (k, j, p), c in identities._F_OPERATOR.items()
         )
         assert total == 0, part
-    # the entry rhs_main reads row t from, without dividing by it
+    # the entry operator_rows reads row t from, without dividing by it
     assert identities._F_OPERATOR[1, 0, 0] == 1
+
+
+@pytest.mark.parametrize(
+    "namespace, name, closed_form",
+    [
+        (vars(identities), "_DOETSCH_OPERATOR", "(1 - 2*z)**(-1/2) * exp(u**2*z / (1 - 2*z))"),
+        (hermite._OPERATORS, HermiteKind.PROBABILIST, "exp(u*z + z**2/2)"),
+        (hermite._OPERATORS, HermiteKind.PHYSICIST, "exp(2*u*z - z**2)"),
+    ],
+    ids=["doetsch", "h", "H"],
+)
+def test_first_order_operators_annihilate_their_series(namespace, name, closed_form):
+    """Each first-order table kills its closed form, which is 1 at z = 0, and its lead
+    entry, which operator_rows reads row t from without dividing by it, is 1."""
+    sp = pytest.importorskip("sympy")
+    u, z = sp.symbols("u z")
+    f = sp.sympify(closed_form, locals={"u": u, "z": z})
+    table = namespace[name]
+    total = sum(c * z**j * u**p * f.diff(z, k) for (k, j, p), c in table.items())
+    assert sp.simplify(total / f) == 0
+    assert f.subs(z, 0) == 1
+    assert table[1, 0, 0] == 1
