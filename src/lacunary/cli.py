@@ -13,11 +13,9 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction as Rational
 
 from . import identities, oracle
-from .hermite import HermiteKind, hermite
-from .poly import UPolynomial
+from .hermite import HermiteKind, hermite, hermite_egf
 from .series import TruncSeries
 
 DEFAULT_ORDER = 12
@@ -30,18 +28,6 @@ ORACLE_BOUNDS = {
 }
 
 
-def _hermite_h_egf(order: int) -> TruncSeries:
-    return TruncSeries(
-        order, {(1,): UPolynomial.u(), (2,): UPolynomial.constant(Rational(1, 2))}
-    ).exp()
-
-
-def _hermite_big_h_egf(order: int) -> TruncSeries:
-    return TruncSeries(
-        order, {(1,): UPolynomial.u(coeff=2), (2,): UPolynomial.constant(-1)}
-    ).exp()
-
-
 SERIES_BUILDERS = {
     "w": identities.w_series,
     "tree-gf": identities.tree_gf,
@@ -51,8 +37,8 @@ SERIES_BUILDERS = {
     "rhs-doetsch": identities.rhs_doetsch,
     "lhs-main": lambda order: identities.lhs_lacunary(3, order),
     "rhs-main": identities.rhs_main,
-    "hermite-h-egf": _hermite_h_egf,
-    "hermite-H-egf": _hermite_big_h_egf,
+    "hermite-h-egf": lambda order: hermite_egf(HermiteKind.PROBABILIST, order),
+    "hermite-H-egf": lambda order: hermite_egf(HermiteKind.PHYSICIST, order),
 }
 
 

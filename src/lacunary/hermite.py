@@ -9,7 +9,8 @@ Each EGF solves F' = (u + z) F or F' = (2u - 2z) F, whose tables
 ``_OPERATORS`` holds; ``operator_rows`` solves them for the ``int`` rows
 t! F_t, the coefficient lists of h_t and H_t, as ``identities`` solves the
 right sides of both headline identities from theirs.  ``hermite`` makes a
-``UPolynomial`` of one row; the cross-checks live in the test suite.
+``UPolynomial`` of one row, and ``_egf_series``, the one reader of the row layout,
+the series sum_t row_t z^t / t!: ``hermite_egf`` here and all four headline sides.
 
 ``m_moment`` is the moment sequence (2k)!/(2^k k!) on even indices and 0 on
 odd ones, i.e. the number of perfect matchings of an n-set; it drives the
@@ -28,10 +29,14 @@ import enum
 import math
 from collections import deque
 from collections.abc import Iterator
+from fractions import Fraction as Rational
 from itertools import count, islice
 from operator import add
 
 from .poly import UPolynomial, _check_nonnegative_int
+from .poly import _make as _make_poly
+from .series import DEFAULT_VARS, TruncSeries
+from .series import _make as _make_series
 
 
 class HermiteKind(enum.Enum):
@@ -45,13 +50,16 @@ def operator_rows(operator: dict, stride: int) -> Iterator[list[int]]:
     """The int rows G_t = t! F_t, t = 0, 1, ..., of the power series F with F(0) = 1
     that the operator {(k, j, p): c} of terms c z^j u^p (d/dz)^k annihilates.  Row t
     lists the coefficients of u^(m%2), u^(m%2 + 2), ..., u^m for m = stride*t, as
-    those of h_m do; every entry has p <= stride(j-k+1), so none reaches past u^m.
+    those of h_m do; an entry with p > stride(j-k+1) or p of the other parity raises.
 
     Times (t-1)!, the z^(t-1) coefficient of the equation holds row t once, as the
     entry (1, 0, 0) times G_t; that entry is 1, read as the sign the other terms move
     across with, so no row is divided.  Each other entry reads row r = t-1-j+k < t,
     as c r!/(r-k)! (t-1)!/r! u^p G_r = c perm(r, k) perm(t-1, j-k) u^p G_r, so only
     the last max(j-k)+1 rows are kept."""
+    for k, j, p in operator:  # u^p times row t-1-j+k must land inside row t
+        if not 0 <= p <= stride * (j - k + 1) or (stride * (j - k + 1) - p) % 2:
+            raise ValueError(f"entry {(k, j, p)} does not fit the rows of stride {stride}")
     sign = -operator[1, 0, 0]
     rows = deque([[1]], maxlen=max(j - k for k, j, _ in operator) + 1)
     yield rows[-1]
@@ -73,6 +81,18 @@ def operator_rows(operator: dict, stride: int) -> Iterator[list[int]]:
         yield acc
 
 
+def _egf_series(order: int, rows, stride: int) -> TruncSeries:
+    """sum_(t<=order) row_t(u) z^t / t! of the rows of ``operator_rows``, entry i of
+    row t at u^(stride*t%2 + 2i); an all-zero row stores no part."""
+    parts, scale = {}, 1
+    for t, row in enumerate(islice(rows, _check_nonnegative_int(order, "truncation order") + 1)):
+        scale *= t or 1
+        parity = stride * t % 2
+        if part := {(parity + 2 * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}:
+            parts[t] = _make_poly(part)
+    return _make_series(order, parts, DEFAULT_VARS)
+
+
 _OPERATORS = {  # tables {(k, j, p): c} of terms c z^j u^p (d/dz)^k
     HermiteKind.PROBABILIST: {(1, 0, 0): 1, (0, 0, 1): -1, (0, 1, 0): -1},  # F' = (u + z) F
     HermiteKind.PHYSICIST: {(1, 0, 0): 1, (0, 0, 1): -2, (0, 1, 0): 2},  # F' = (2u - 2z) F
@@ -82,6 +102,11 @@ _OPERATORS = {  # tables {(k, j, p): c} of terms c z^j u^p (d/dz)^k
 def hermite(kind: HermiteKind, n: int) -> UPolynomial:
     row = next(islice(operator_rows(_OPERATORS[kind], 1), _check_nonnegative_int(n, "n"), None))
     return UPolynomial({(n % 2 + 2 * i, 0): a for i, a in enumerate(row) if a})
+
+
+def hermite_egf(kind: HermiteKind, order: int) -> TruncSeries:
+    """sum_(n<=order) h_n(u) z^n / n!, or the same of H_n, solved from its EGF's operator."""
+    return _egf_series(order, operator_rows(_OPERATORS[kind], 1), 1)
 
 
 def hermite_h(n: int) -> UPolynomial:

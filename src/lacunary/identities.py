@@ -25,9 +25,9 @@ cheap to rebuild.
 
 Both headline right sides are D-finite: ``rhs_main`` and ``rhs_doetsch`` solve
 the operators that annihilate them, ``_F_OPERATOR`` and ``_DOETSCH_OPERATOR``,
-by ``hermite.operator_rows``, which also gives the left sides' Hermite rows.  So
-``main`` reads neither w nor c_n nor any factor builder, and neither headline
-check multiplies a series.  The product of the three factors,
+by ``hermite.operator_rows`` (which gives the Hermite rows too) and lowered by
+``hermite._egf_series``.  So ``main`` reads neither w nor c_n nor any factor
+builder, no headline check multiplies a series, and the three factors' product,
 ``rhs_main_product_route``, is main's check, run by ``rhs-main-routes``.
 
 The identities themselves form a closed enumeration (see IDENTITIES);
@@ -51,7 +51,7 @@ import math
 from fractions import Fraction as Rational
 from itertools import islice
 
-from .hermite import _OPERATORS, HermiteKind, operator_rows
+from .hermite import _OPERATORS, HermiteKind, _egf_series, operator_rows
 from .poly import POLY_U, UPolynomial, _check_nonnegative_int
 from .poly import _make as _make_poly
 from .report import IdentityReport, Mismatch, compare_series
@@ -109,18 +109,6 @@ def _ratio_series(order: int, runs) -> TruncSeries:
 def w_series(order: int) -> TruncSeries:
     """The tree series w by its coefficients: z^n |-> 3^n C_n u^(n+1), of ratio 6(2n+1)/(n+2)."""
     return _ratio_series(order, [(0, 1, 1, lambda n: (6 * (2 * n + 1), n + 2))])
-
-
-def _egf_series(order: int, rows, stride: int) -> TruncSeries:
-    """sum_(t<=order) row_t(u) z^t / t! of integer rows, entry i of row t at
-    u^(stride*t%2 + 2i); an all-zero row stores no part."""
-    parts, scale = {}, 1
-    for t, row in enumerate(islice(rows, _check_nonnegative_int(order, "truncation order") + 1)):
-        scale *= t or 1
-        parity = stride * t % 2
-        if part := {(parity + 2 * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}:
-            parts[t] = _make_poly(part)
-    return _make_series(order, parts, DEFAULT_VARS)
 
 
 def lhs_lacunary(stride: int, order: int) -> TruncSeries:

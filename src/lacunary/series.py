@@ -40,7 +40,8 @@ only), ``umbral`` one per M-degree.  Each operand (or homogeneous part) is
 each product is scaled by an integer to a common denominator, the multiply-add
 loop adds pure ``int`` products into sums keyed by (degree, (deg_u, deg_y)),
 and each sum is *lowered* once, with one gcd, back to a ``Rational``; sums that
-cancel are pruned.
+cancel are pruned.  Only the check routes, the umbral lemmas and the census
+check call it: the hot paths lower integer rows (``hermite._egf_series``).
 
 Instances are immutable and all operations are pure.
 """

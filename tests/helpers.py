@@ -10,8 +10,9 @@ lacunary, for the tests that must not share the suite's warm caches.
 
 The helpers at the end are test-only: the antiderivative in u, the
 multi-cycle factor as a power sum over P = z^2 (1-6wz)^(-3) (the oracle of
-its closed form), Doetsch's right side as a product of series (the oracle
-of its solution from its operator), the per-graph model of a marked graph
+its closed form), Doetsch's right side as a product of series and both
+Hermite EGFs as the exp of their exponents (the oracles of their solutions
+from their operators), the per-graph model of a marked graph
 with its union-find component profile (the oracle of the census walk), the
 generator of every canonical w-tree (the oracle of the memoized w-tree
 count), views of brute-force objects (the fixed points of a matching, the
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import lacunary
 from lacunary import Rational
-from lacunary.hermite import hermite_H, hermite_h
+from lacunary.hermite import HermiteKind, hermite_H, hermite_h
 from lacunary.identities import multi_cycle_coefficient, w_series
 from lacunary.poly import UPolynomial
 from lacunary.series import TruncSeries
@@ -232,6 +233,16 @@ def doetsch_product(order: int) -> TruncSeries:
     base = TruncSeries.one(order) - 2 * TruncSeries.variable("z", order)
     arg = TruncSeries.monomial((1,), UPolynomial.u(power=2), order) * base**-1
     return base ** Rational(-1, 2) * arg.exp()
+
+
+def hermite_egf_product(kind: HermiteKind, order: int) -> TruncSeries:
+    """e^(u z + z^2/2) or e^(2u z - z^2) by the series exp recurrence: the Hermite EGF
+    without its operator."""
+    exponent = {
+        HermiteKind.PROBABILIST: {(1,): UPolynomial.u(), (2,): Rational(1, 2)},
+        HermiteKind.PHYSICIST: {(1,): UPolynomial.u(coeff=2), (2,): -1},
+    }[kind]
+    return TruncSeries(order, exponent).exp()
 
 
 # -- marked graphs, one at a time ------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lacunary import cli, oracle, umbral
+from lacunary import cli, oracle, series, umbral
 from lacunary.poly import UPolynomial
 from lacunary.report import IdentityReport, Mismatch
 from lacunary.series import TruncSeries
@@ -505,6 +505,33 @@ def test_expand_output_is_pinned(capsys, series, fmt):
         code, out = run_cli(capsys, "--format", fmt, "expand", series, "--order", str(order))
         digests.append(hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()[:16])
     assert digests == PINNED_EXPAND_OUTPUT[series, fmt]
+
+
+# Each builds every series it prints from integer rows, with no series product.
+KERNEL_FREE_RUNS = [
+    *(("expand", name, "--order", "24") for name in sorted(cli.SERIES_BUILDERS)),
+    *(("verify", name, "--order", "48") for name in ("main", "doetsch")),
+    *(("hermite", "--kind", kind, "--n", "40") for kind in "hH"),
+]
+
+
+def test_expand_headline_checks_and_hermite_run_without_the_series_kernel(capsys, monkeypatch):
+    """With the kernel's one product entry raising, every expand series, both headline
+    checks and both Hermite kinds still exit 0 with the same bytes: the series algebra
+    serves only the check routes, the umbral lemmas and the census check."""
+
+    def run(argv):
+        return cli.main(list(argv)), *capsys.readouterr()
+
+    expected = [run(argv) for argv in KERNEL_FREE_RUNS]
+
+    def no_kernel(*args):
+        raise AssertionError("the series kernel ran")
+
+    monkeypatch.setattr(series, "_sum_products", no_kernel)
+    monkeypatch.setattr(umbral, "_sum_products", no_kernel)
+    for argv, (code, out, err) in zip(KERNEL_FREE_RUNS, expected):
+        assert (code, err) == (0, "") and run(argv) == (0, out, ""), argv
 
 
 def _modules_after(statement):

@@ -2,7 +2,9 @@
 
 import math
 
-from lacunary import Rational
+import pytest
+
+from lacunary import Rational, cli
 from lacunary.hermite import (
     HermiteKind,
     hermite,
@@ -14,7 +16,7 @@ from lacunary.oracle import enumerate_matchings
 from lacunary.poly import UPolynomial
 from lacunary.series import TruncSeries
 
-from helpers import normalization_relation_check
+from helpers import hermite_egf_product, normalization_relation_check
 
 U = UPolynomial.u
 
@@ -126,3 +128,12 @@ def test_submodule_not_shadowed_by_package_export():
     import lacunary.hermite as module
 
     assert module.hermite_H(2) == UPolynomial({(2, 0): 4, (0, 0): -2})
+
+
+@pytest.mark.parametrize("kind", list(HermiteKind), ids=lambda kind: kind.value)
+def test_egf_from_rows_equals_the_exp_of_its_exponent(kind):
+    """The series that ``expand hermite-<kind>-egf`` prints, lowered from the rows of
+    the EGF's operator, equals the exp of its exponent at every order 0 to 48."""
+    build = cli.SERIES_BUILDERS[f"hermite-{kind.value}-egf"]
+    for order in range(49):
+        assert build(order) == hermite_egf_product(kind, order), order

@@ -182,6 +182,32 @@ def test_main_fails_for_every_recurrence_entry_off_by_one(monkeypatch):
                 assert not check(), (name, key)
 
 
+@pytest.mark.parametrize(
+    "table, stride, fits",
+    [
+        (identities._F_OPERATOR, 3, True),
+        (identities._DOETSCH_OPERATOR, 2, True),
+        (hermite._OPERATORS[HermiteKind.PROBABILIST], 1, True),
+        (hermite._OPERATORS[HermiteKind.PHYSICIST], 1, True),
+        # F' = (u^3 + z) F: u^3 F_r reaches past u^(r+1), whichever entry comes first
+        ({(1, 0, 0): 1, (0, 0, 3): -1, (0, 1, 0): -1}, 1, False),
+        ({(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 3): -1}, 1, False),
+        # F' = (u^2 + z) F: u^2 F_r has the parity of row r, not of row r + 1
+        ({(1, 0, 0): 1, (0, 0, 2): -1, (0, 1, 0): -1}, 1, False),
+    ],
+    ids=["main", "doetsch", "h", "H", "u3-first", "u3-last", "u2"],
+)
+def test_operator_rows_keeps_or_rejects_the_row_layout(table, stride, fits):
+    """Row t holds the stride*t//2 + 1 coefficients of u^(stride*t%2), ..., u^(stride*t);
+    a table with an entry that leaves that layout raises before the first row."""
+    rows = operator_rows(table, stride)
+    if not fits:
+        with pytest.raises(ValueError, match=f"stride {stride}"):
+            next(rows)
+        return
+    assert [len(row) for row in islice(rows, 13)] == [stride * t // 2 + 1 for t in range(13)]
+
+
 def test_rhs_doetsch_equals_the_product_of_its_factors():
     """The solution of _DOETSCH_OPERATOR equals the series product of its closed form,
     exactly, from order 0 (the one row G_0 = 1) to 48."""
@@ -356,9 +382,9 @@ def test_mismatch_reporting():
 def test_egf_series_stores_no_part_for_a_zero_row():
     """A zero row adds no part: the series equals the constructor's, and all-zero rows
     make a zero series."""
-    egf = identities._egf_series(3, [[1], [0], [0, 0], [1, 0, 0, 0]], 2)
+    egf = hermite._egf_series(3, [[1], [0], [0, 0], [1, 0, 0, 0]], 2)
     assert egf == TruncSeries(3, {(0,): 1, (3,): Rational(1, 6)})
-    zero = identities._egf_series(2, [[0], [0, 0], [0, 0, 0]], 2)
+    zero = hermite._egf_series(2, [[0], [0, 0], [0, 0, 0]], 2)
     assert not zero and zero == TruncSeries.zero(2)
 
 
