@@ -8,9 +8,10 @@ the physicists' normalization with generating function e^(2*u*z - z^2).
 Each EGF solves F' = (u + z) F or F' = (2u - 2z) F, whose tables
 ``_OPERATORS`` holds; ``operator_rows`` solves them for the ``int`` rows
 t! F_t, the coefficient lists of h_t and H_t, as ``identities`` solves the
-right sides of both headline identities from theirs.  ``hermite`` makes a
-``UPolynomial`` of one row, and ``_egf_series``, the one reader of the row layout,
-the series sum_t row_t z^t / t!: ``hermite_egf`` here and all four headline sides.
+right sides of both headline identities from theirs.  The two readers of the row
+layout are ``hermite``, which makes a ``UPolynomial`` of one row, and
+``_egf_series``, which makes the series sum_t row_t z^t / t!: ``hermite_egf`` here
+and all four headline sides.
 
 ``m_moment`` is the moment sequence (2k)!/(2^k k!) on even indices and 0 on
 odd ones, i.e. the number of perfect matchings of an n-set; it drives the
@@ -48,34 +49,33 @@ class HermiteKind(enum.Enum):
 
 def operator_rows(operator: dict, stride: int) -> Iterator[list[int]]:
     """The int rows G_t = t! F_t, t = 0, 1, ..., of the power series F with F(0) = 1
-    that the operator {(k, j, p): c} of terms c z^j u^p (d/dz)^k annihilates.  Row t
+    that solves F' = sum c z^j u^p (d/dz)^k F over the table {(k, j, p): c}.  Row t
     lists the coefficients of u^(m%2), u^(m%2 + 2), ..., u^m for m = stride*t, as
-    those of h_m do; an entry with p > stride(j-k+1) or p of the other parity raises.
+    those of h_m do; an entry with k < 0, j < k, p > stride(j-k+1) or p of the other
+    parity raises.
 
-    Times (t-1)!, the z^(t-1) coefficient of the equation holds row t once, as the
-    entry (1, 0, 0) times G_t; that entry is 1, read as the sign the other terms move
-    across with, so no row is divided.  Each other entry reads row r = t-1-j+k < t,
-    as c r!/(r-k)! (t-1)!/r! u^p G_r = c perm(r, k) perm(t-1, j-k) u^p G_r, so only
-    the last max(j-k)+1 rows are kept."""
-    for k, j, p in operator:  # u^p times row t-1-j+k must land inside row t
-        if not 0 <= p <= stride * (j - k + 1) or (stride * (j - k + 1) - p) % 2:
+    Times (t-1)!, the z^(t-1) coefficient of F' is row t, so no row is divided.  The
+    entry (k, j, p) adds the earlier row r = t-1-j+k < t there, as
+    c r!/(r-k)! (t-1)!/r! u^p G_r = c perm(r, k) perm(t-1, j-k) u^p G_r, so only
+    the last max(j-k)+1 rows are kept; the empty table is F' = 0."""
+    for k, j, p in operator:  # u^p times the earlier row t-1-j+k must land inside row t
+        if not 0 <= k <= j or not 0 <= p <= stride * (j - k + 1) or (stride * (j - k + 1) - p) % 2:
             raise ValueError(f"entry {(k, j, p)} does not fit the rows of stride {stride}")
-    sign = -operator[1, 0, 0]
-    rows = deque([[1]], maxlen=max(j - k for k, j, _ in operator) + 1)
+    rows = deque([[1]], maxlen=max((j - k for k, j, _ in operator), default=0) + 1)
     yield rows[-1]
     for t in count(1):
         # terms that read the same row at the same shift share one multiply
         factors: dict = {}
         for (k, j, p), c in operator.items():
             r = t - 1 - j + k
-            if 0 <= r < t:
+            if r >= 0:
                 key = (r - t, (stride * r % 2 + p - stride * t % 2) >> 1)
                 factors[key] = factors.get(key, 0) + c * math.perm(r, k) * math.perm(t - 1, j - k)
         acc = [0] * (stride * t // 2 + 1)
         for n, ((back, lo), f) in enumerate(factors.items()):
             row = rows[back]
             hi = lo + len(row)
-            scaled = map((sign * f).__mul__, row)
+            scaled = map(f.__mul__, row)
             acc[lo:hi] = map(add, acc[lo:hi], scaled) if n else scaled  # the first adds to 0
         rows.append(acc)
         yield acc
@@ -93,9 +93,9 @@ def _egf_series(order: int, rows, stride: int) -> TruncSeries:
     return _make_series(order, parts, DEFAULT_VARS)
 
 
-_OPERATORS = {  # tables {(k, j, p): c} of terms c z^j u^p (d/dz)^k
-    HermiteKind.PROBABILIST: {(1, 0, 0): 1, (0, 0, 1): -1, (0, 1, 0): -1},  # F' = (u + z) F
-    HermiteKind.PHYSICIST: {(1, 0, 0): 1, (0, 0, 1): -2, (0, 1, 0): 2},  # F' = (2u - 2z) F
+_OPERATORS = {  # F' = sum c z^j u^p (d/dz)^k F over the table {(k, j, p): c}
+    HermiteKind.PROBABILIST: {(0, 0, 1): 1, (0, 1, 0): 1},  # F' = (u + z) F
+    HermiteKind.PHYSICIST: {(0, 0, 1): 2, (0, 1, 0): -2},  # F' = (2u - 2z) F
 }
 
 

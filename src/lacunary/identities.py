@@ -24,7 +24,7 @@ route are written in s, so no route divides by z.  Nothing is cached; w is
 cheap to rebuild.
 
 Both headline right sides are D-finite: ``rhs_main`` and ``rhs_doetsch`` solve
-the operators that annihilate them, ``_F_OPERATOR`` and ``_DOETSCH_OPERATOR``,
+their ODEs, in the solved form F' = ... of ``_F_OPERATOR`` and ``_DOETSCH_OPERATOR``,
 by ``hermite.operator_rows`` (which gives the Hermite rows too) and lowered by
 ``hermite._egf_series``.  So ``main`` reads neither w nor c_n nor any factor
 builder, no headline check multiplies a series, and the three factors' product,
@@ -119,11 +119,10 @@ def lhs_lacunary(stride: int, order: int) -> TruncSeries:
     return _egf_series(order, h, stride)
 
 
-# F = rhs_doetsch solves (1 - 2z)^2 F' - (1 - 2z + u^2) F = 0 with F(0) = 1, kept as
-# the table {(k, j, p): c} of its terms c z^j u^p (d/dz)^k.
-_DOETSCH_OPERATOR = {
-    (0, 0, 0): -1, (0, 0, 2): -1, (0, 1, 0): 2, (1, 0, 0): 1, (1, 1, 0): -4, (1, 2, 0): 4,
-}
+# F = rhs_doetsch solves (1 - 2z)^2 F' = (1 - 2z + u^2) F with F(0) = 1, that is
+#     F' = (1 - 2z + u^2) F + (4z - 4z^2) F',
+# kept as the table {(k, j, p): c} of its right side's terms c z^j u^p (d/dz)^k F.
+_DOETSCH_OPERATOR = {(0, 0, 0): 1, (0, 0, 2): 1, (0, 1, 0): -2, (1, 1, 0): 4, (1, 2, 0): -4}
 
 
 def rhs_doetsch(order: int) -> TruncSeries:
@@ -202,13 +201,13 @@ def rhs_main_product_route(order: int) -> TruncSeries:
 
 # -- the right side of main, from its own ODE ----------------------------------
 # F = rhs_main is the power-series solution with F(0) = 1 of
-#     27 z^3 (3uz - 1) F'' + (1 - 12uz - 81z^2 + 27u^2 z^2 + 162uz^3) F'
-#         + (3u^4 z - u^3 - 3u + 18uz^2 - 15z) F = 0,
-# kept as the table {(k, j, p): c} of its terms c z^j u^p (d/dz)^k.
+#     F' = (u^3 + 3u + 15z - 3u^4 z - 18uz^2) F
+#         + (12uz + 81z^2 - 27u^2 z^2 - 162uz^3) F' + 27 z^3 (1 - 3uz) F'',
+# kept as the table {(k, j, p): c} of its right side's terms c z^j u^p (d/dz)^k F.
 _F_OPERATOR = {
-    (0, 0, 1): -3, (0, 0, 3): -1, (0, 1, 0): -15, (0, 1, 4): 3, (0, 2, 1): 18,
-    (1, 0, 0): 1, (1, 1, 1): -12, (1, 2, 0): -81, (1, 2, 2): 27, (1, 3, 1): 162,
-    (2, 3, 0): -27, (2, 4, 1): 81,
+    (0, 0, 1): 3, (0, 0, 3): 1, (0, 1, 0): 15, (0, 1, 4): -3, (0, 2, 1): -18,
+    (1, 1, 1): 12, (1, 2, 0): 81, (1, 2, 2): -27, (1, 3, 1): -162,
+    (2, 3, 0): 27, (2, 4, 1): -81,
 }
 
 

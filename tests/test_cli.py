@@ -147,10 +147,10 @@ def test_routes_identity_catches_a_wrong_factor(capsys, monkeypatch, builder, id
 
 # (what is changed, how, the identity that reads it, first exponent that mismatches)
 MAIN_TERM_MUTANTS = [
-    # rhs_main's 81 u z^4 F'' first reads row 2, in the equation for row 5
-    ("_F_OPERATOR", lambda exact: {**exact, (2, 4, 1): exact[2, 4, 1] + 1}, "main", 5),
-    # rhs_doetsch's 4 z^2 F' first reads row 1, in the equation for row 3
-    ("_DOETSCH_OPERATOR", lambda exact: {**exact, (1, 2, 0): exact[1, 2, 0] + 1}, "doetsch", 3),
+    # rhs_main's -81 u z^4 F'' first reads row 2, in the equation for row 5; made -82
+    ("_F_OPERATOR", lambda exact: {**exact, (2, 4, 1): exact[2, 4, 1] - 1}, "main", 5),
+    # rhs_doetsch's -4 z^2 F' first reads row 1, in the equation for row 3; made -5
+    ("_DOETSCH_OPERATOR", lambda exact: {**exact, (1, 2, 0): exact[1, 2, 0] - 1}, "doetsch", 3),
     # main reads no c_n; the product route does, through the multi-cycle factor
     (
         "multi_cycle_coefficient",

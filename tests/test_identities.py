@@ -1,6 +1,7 @@
 """The w series, identity factors, and the coefficient-exact verifier."""
 
 import math
+import re
 from itertools import islice
 
 import pytest
@@ -171,8 +172,9 @@ OPERATOR_TABLES = [
 
 
 def test_main_fails_for_every_recurrence_entry_off_by_one(monkeypatch):
-    """operator_rows reads every entry of each table, the lead entry (1, 0, 0) included,
-    and an entry one too high fails the check that reads the table."""
+    """operator_rows reads every entry of each table, and an entry one too high fails
+    the check that reads the table.  A table holds no lead entry for F' itself: the
+    solver reads F' as row t, so there is no coefficient of it to perturb."""
     for namespace, name, check in OPERATOR_TABLES:
         assert check(), name
         exact = namespace[name]
@@ -182,30 +184,74 @@ def test_main_fails_for_every_recurrence_entry_off_by_one(monkeypatch):
                 assert not check(), (name, key)
 
 
+# the four tables in their earlier form L F = 0, each with the lead entry (1, 0, 0) = 1
+LEAD_ENTRY_TABLES = [
+    ({
+        (0, 0, 1): -3, (0, 0, 3): -1, (0, 1, 0): -15, (0, 1, 4): 3, (0, 2, 1): 18,
+        (1, 0, 0): 1, (1, 1, 1): -12, (1, 2, 0): -81, (1, 2, 2): 27, (1, 3, 1): 162,
+        (2, 3, 0): -27, (2, 4, 1): 81,
+    }, 3),
+    ({(0, 0, 0): -1, (0, 0, 2): -1, (0, 1, 0): 2, (1, 0, 0): 1, (1, 1, 0): -4, (1, 2, 0): 4}, 2),
+    ({(1, 0, 0): 1, (0, 0, 1): -1, (0, 1, 0): -1}, 1),
+    ({(1, 0, 0): 1, (0, 0, 1): -2, (0, 1, 0): 2}, 1),
+]
+
+
 @pytest.mark.parametrize(
-    "table, stride, fits",
+    "table, stride, bad",
     [
-        (identities._F_OPERATOR, 3, True),
-        (identities._DOETSCH_OPERATOR, 2, True),
-        (hermite._OPERATORS[HermiteKind.PROBABILIST], 1, True),
-        (hermite._OPERATORS[HermiteKind.PHYSICIST], 1, True),
+        (identities._F_OPERATOR, 3, None),
+        (identities._DOETSCH_OPERATOR, 2, None),
+        (hermite._OPERATORS[HermiteKind.PROBABILIST], 1, None),
+        (hermite._OPERATORS[HermiteKind.PHYSICIST], 1, None),
         # F' = (u^3 + z) F: u^3 F_r reaches past u^(r+1), whichever entry comes first
-        ({(1, 0, 0): 1, (0, 0, 3): -1, (0, 1, 0): -1}, 1, False),
-        ({(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 3): -1}, 1, False),
+        ({(0, 0, 3): 1, (0, 1, 0): 1}, 1, (0, 0, 3)),
+        ({(0, 1, 0): 1, (0, 0, 3): 1}, 1, (0, 0, 3)),
         # F' = (u^2 + z) F: u^2 F_r has the parity of row r, not of row r + 1
-        ({(1, 0, 0): 1, (0, 0, 2): -1, (0, 1, 0): -1}, 1, False),
+        ({(0, 0, 2): 1, (0, 1, 0): 1}, 1, (0, 0, 2)),
+        # F' = (u + z) F + 5z F'': z F'' reads row t itself
+        ({(0, 0, 1): 1, (0, 1, 0): 1, (2, 1, 0): 5}, 1, (2, 1, 0)),
+        # a derivative of negative order is no term of an ODE
+        ({(0, 0, 1): 1, (-1, 0, 0): 1}, 1, (-1, 0, 0)),
+        # F' itself is row t, so an entry (1, 0, 0) for it reads row t
+        *[(table, stride, (1, 0, 0)) for table, stride in LEAD_ENTRY_TABLES],
     ],
-    ids=["main", "doetsch", "h", "H", "u3-first", "u3-last", "u2"],
+    ids=["main", "doetsch", "h", "H", "u3-first", "u3-last", "u2", "zF''", "k<0"]
+    + [f"{name}-lead" for name in ["main", "doetsch", "h", "H"]],
 )
-def test_operator_rows_keeps_or_rejects_the_row_layout(table, stride, fits):
+def test_operator_rows_keeps_or_rejects_the_row_layout(table, stride, bad):
     """Row t holds the stride*t//2 + 1 coefficients of u^(stride*t%2), ..., u^(stride*t);
-    a table with an entry that leaves that layout raises before the first row."""
+    a table with an entry that leaves that layout, or reads row t or a later row, raises
+    before the first row, naming that entry."""
     rows = operator_rows(table, stride)
-    if not fits:
-        with pytest.raises(ValueError, match=f"stride {stride}"):
+    if bad:
+        with pytest.raises(ValueError, match=re.escape(f"entry {bad} ") + f".*stride {stride}"):
             next(rows)
         return
     assert [len(row) for row in islice(rows, 13)] == [stride * t // 2 + 1 for t in range(13)]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_operator_rows_of_the_empty_table_are_zero(stride):
+    """The empty table is F' = 0, whose solution with F(0) = 1 is 1."""
+    rows = list(islice(operator_rows({}, stride), 6))
+    assert rows == [[1]] + [[0] * (stride * t // 2 + 1) for t in range(1, 6)]
+
+
+@pytest.mark.parametrize("stride, table", [(3, "_F_OPERATOR"), (2, "_DOETSCH_OPERATOR")])
+def test_right_side_rows_count_matchings(stride, table):
+    """Row t of each right side's solution lists the k-matching counts of a
+    (stride t)-set, m!/(2^k k! (m-2k)!) for m = stride t, by ascending u-degree m - 2k,
+    for t <= 100: the paper's definition of h_m, which shares no arithmetic with the
+    solver."""
+    rhs = islice(operator_rows(getattr(identities, table), stride), 101)
+    for t, row in enumerate(rhs):
+        m = stride * t
+        counts = [
+            math.factorial(m) // (2**k * math.factorial(k) * math.factorial(m - 2 * k))
+            for k in range(m // 2 + 1)
+        ]
+        assert row == counts[::-1], t
 
 
 def test_rhs_doetsch_equals_the_product_of_its_factors():
@@ -452,13 +498,14 @@ def test_series_match_sympy_expansion(name, builder, order):
 
 
 def test_f_operator_annihilates_the_right_side():
-    """_F_OPERATOR kills F = e^T s^(-1/2) y(54z^2/s^3) for every solution y of the
-    2F0(1/6, 5/6;; x) equation x^2 y'' + (2x - 1) y' + (5/36) y = 0, of which
-    sum_n c_n z^(2n) s^(-3n) is the formal one.  It works in the field Q(u, s), whose
+    """F = e^T s^(-1/2) y(54z^2/s^3) solves F' = sum c z^j u^p F^(k) over _F_OPERATOR
+    for every solution y of the 2F0(1/6, 5/6;; x) equation
+    x^2 y'' + (2x - 1) y' + (5/36) y = 0, of which sum_n c_n z^(2n) s^(-3n) is the
+    formal one.  It works in the field Q(u, s), whose
     fractions stay in lowest terms, with s = sqrt(1 - 12uz), z = (1 - s^2) / (12u),
     w = 2u / (1 + s) and d/dz = -(6u/s) d/ds: F^(k) / (e^T s^(-1/2)) is
-    A_k y + B_k y' once y'' is eliminated, and the operator's sums of the A_k and of
-    the B_k are both 0."""
+    A_k y + B_k y' once y'' is eliminated, and A_1 and B_1 equal the table's sums of
+    the A_k and of the B_k."""
     sp = pytest.importorskip("sympy")
     field, u, s = sp.field("u, s", sp.QQ)
     z = (1 - s**2) / (12 * u)
@@ -485,9 +532,9 @@ def test_f_operator_annihilates_the_right_side():
             c * z**j * u**p * derivatives[k][part]
             for (k, j, p), c in identities._F_OPERATOR.items()
         )
-        assert total == 0, part
-    # the entry operator_rows reads row t from, without dividing by it
-    assert identities._F_OPERATOR[1, 0, 0] == 1
+        assert derivatives[1][part] - total == 0, part
+    # every entry reads an earlier row, so operator_rows divides no row
+    assert all(j >= k for k, j, _ in identities._F_OPERATOR)
 
 
 @pytest.mark.parametrize(
@@ -500,13 +547,13 @@ def test_f_operator_annihilates_the_right_side():
     ids=["doetsch", "h", "H"],
 )
 def test_first_order_operators_annihilate_their_series(namespace, name, closed_form):
-    """Each first-order table kills its closed form, which is 1 at z = 0, and its lead
-    entry, which operator_rows reads row t from without dividing by it, is 1."""
+    """Each first-order table is the right side of F' = ... for its closed form, which
+    is 1 at z = 0, and every entry reads an earlier row, so operator_rows divides none."""
     sp = pytest.importorskip("sympy")
     u, z = sp.symbols("u z")
     f = sp.sympify(closed_form, locals={"u": u, "z": z})
     table = namespace[name]
     total = sum(c * z**j * u**p * f.diff(z, k) for (k, j, p), c in table.items())
-    assert sp.simplify(total / f) == 0
+    assert sp.simplify((f.diff(z) - total) / f) == 0
     assert f.subs(z, 0) == 1
-    assert table[1, 0, 0] == 1
+    assert all(j >= k for k, j, _ in table)
