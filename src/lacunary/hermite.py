@@ -8,10 +8,13 @@ the physicists' normalization with generating function e^(2*u*z - z^2).
 Each EGF solves F' = (u + z) F or F' = (2u - 2z) F, whose tables
 ``_OPERATORS`` holds; ``operator_rows`` solves them for the ``int`` rows
 t! F_t, the coefficient lists of h_t and H_t, as ``identities`` solves the
-right sides of both headline identities from theirs.  The two readers of the row
-layout are ``hermite``, which makes a ``UPolynomial`` of one row, and
-``_egf_series``, which makes the series sum_t row_t z^t / t!: ``hermite_egf`` here
-and all four headline sides.
+right sides of both headline identities from theirs; the left sides' rows of
+h_(stride*t) count matchings (``matching_rows``) and share no arithmetic with those.
+The two readers of the row layout are ``hermite``, which makes a ``UPolynomial``
+of one row, and ``_egf_series``, which holds rows as the series sum_t row_t z^t / t!
+(``hermite_egf`` here and all four headline sides), lowered to ``Rational`` only
+when first read; equal rows compare equal unlowered, so a verified headline
+check compares ``int`` rows.
 
 ``m_moment`` is the moment sequence (2k)!/(2^k k!) on even indices and 0 on
 odd ones, i.e. the number of perfect matchings of an n-set; it drives the
@@ -36,8 +39,7 @@ from operator import add
 
 from .poly import UPolynomial, _check_nonnegative_int
 from .poly import _make as _make_poly
-from .series import DEFAULT_VARS, TruncSeries
-from .series import _make as _make_series
+from .series import TruncSeries, _from_rows
 
 
 class HermiteKind(enum.Enum):
@@ -81,16 +83,33 @@ def operator_rows(operator: dict, stride: int) -> Iterator[list[int]]:
         yield acc
 
 
+def matching_rows(stride: int) -> Iterator[list[int]]:
+    """The rows of h_m, m = stride*t, t = 0, 1, ..., in the layout of ``operator_rows``,
+    from the matchings they count: m!/(2^k k! (m-2k)!) with k edges, at u^(m-2k), is the
+    count with k-1 edges times (m-2k+2)(m-2k+1)/(2k)."""
+    for m in count(0, _check_nonnegative_int(stride, "stride")):
+        row = [1]
+        for k in range(m // 2):
+            row.append(row[-1] * ((m - 2 * k) * (m - 2 * k - 1)) // (2 * (k + 1)))
+        yield row[::-1]
+
+
 def _egf_series(order: int, rows, stride: int) -> TruncSeries:
-    """sum_(t<=order) row_t(u) z^t / t! of the rows of ``operator_rows``, entry i of
-    row t at u^(stride*t%2 + 2i); an all-zero row stores no part."""
+    """sum_(t<=order) row_t(u) z^t / t! of rows in the layout of ``operator_rows``,
+    entry i of row t at u^(stride*t%2 + 2i), held as rows until ``_lower_rows``."""
+    rows = list(islice(rows, _check_nonnegative_int(order, "truncation order") + 1))
+    return _from_rows(order, stride, rows, _lower_rows)
+
+
+def _lower_rows(stride: int, rows: list) -> dict:
+    """The parts row_t(u) / t! of ``_egf_series``; an all-zero row stores no part."""
     parts, scale = {}, 1
-    for t, row in enumerate(islice(rows, _check_nonnegative_int(order, "truncation order") + 1)):
+    for t, row in enumerate(rows):
         scale *= t or 1
         parity = stride * t % 2
         if part := {(parity + 2 * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}:
             parts[t] = _make_poly(part)
-    return _make_series(order, parts, DEFAULT_VARS)
+    return parts
 
 
 _OPERATORS = {  # F' = sum c z^j u^p (d/dz)^k F over the table {(k, j, p): c}

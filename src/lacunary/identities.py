@@ -25,10 +25,12 @@ cheap to rebuild.
 
 Both headline right sides are D-finite: ``rhs_main`` and ``rhs_doetsch`` solve
 their ODEs, in the solved form F' = ... of ``_F_OPERATOR`` and ``_DOETSCH_OPERATOR``,
-by ``hermite.operator_rows`` (which gives the Hermite rows too) and lowered by
-``hermite._egf_series``.  So ``main`` reads neither w nor c_n nor any factor
-builder, no headline check multiplies a series, and the three factors' product,
-``rhs_main_product_route``, is main's check, run by ``rhs-main-routes``.
+by ``hermite.operator_rows`` (which gives the Hermite EGFs' rows too), and the left
+sides count matchings by ``hermite.matching_rows``; ``hermite._egf_series`` holds
+either as a series of rows, so a verified check compares ``int`` rows.  So ``main``
+reads neither w nor c_n nor any factor builder, no headline check multiplies a
+series, and the three factors' product, ``rhs_main_product_route``, is main's
+check, run by ``rhs-main-routes``.
 
 The identities themselves form a closed enumeration (see IDENTITIES);
 ``verify`` builds both sides and compares coefficient by coefficient,
@@ -49,9 +51,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Rational
-from itertools import islice
 
-from .hermite import _OPERATORS, HermiteKind, _egf_series, operator_rows
+from .hermite import _egf_series, matching_rows, operator_rows
 from .poly import POLY_U, UPolynomial, _check_nonnegative_int
 from .poly import _make as _make_poly
 from .report import IdentityReport, Mismatch, compare_series
@@ -112,11 +113,10 @@ def w_series(order: int) -> TruncSeries:
 
 
 def lhs_lacunary(stride: int, order: int) -> TruncSeries:
-    """sum_{n<=order} h_{stride*n}(u) z^n / n! for stride 2 or 3."""
+    """sum_{n<=order} h_{stride*n}(u) z^n / n! for stride 2 or 3, from the matching counts."""
     if _check_nonnegative_int(stride, "stride") not in (2, 3):
         raise ValueError(f"stride must be 2 or 3, got {stride}")
-    h = islice(operator_rows(_OPERATORS[HermiteKind.PROBABILIST], 1), 0, None, stride)
-    return _egf_series(order, h, stride)
+    return _egf_series(order, matching_rows(stride), stride)
 
 
 # F = rhs_doetsch solves (1 - 2z)^2 F' = (1 - 2z + u^2) F with F(0) = 1, that is

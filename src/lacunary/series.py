@@ -41,7 +41,11 @@ each product is scaled by an integer to a common denominator, the multiply-add
 loop adds pure ``int`` products into sums keyed by (degree, (deg_u, deg_y)),
 and each sum is *lowered* once, with one gcd, back to a ``Rational``; sums that
 cancel are pruned.  Only the check routes, the umbral lemmas and the census
-check call it: the hot paths lower integer rows (``hermite._egf_series``).
+check call it: the hot paths build series of integer rows (``_from_rows``),
+which lower the rows to parts when first read (the unset ``_parts`` slot reaches
+``__getattr__``, which no other series calls).  Two series of equal rows and
+stride are equal unlowered; every other pair is compared by parts, so rows never
+decide that two series differ.
 
 Instances are immutable and all operations are pure.
 """
@@ -65,7 +69,7 @@ DEFAULT_VARS = ("z",)
 class TruncSeries:
     """Immutable truncated power series with UPolynomial coefficients."""
 
-    __slots__ = ("vars", "order", "_parts")
+    __slots__ = ("vars", "order", "_parts", "_rows")
 
     def __init__(
         self,
@@ -170,14 +174,22 @@ class TruncSeries:
     def __bool__(self) -> bool:
         return bool(self._parts)
 
+    def __getattr__(self, name):  # only a series of rows lacks _parts, until first read
+        if name != "_parts":
+            raise AttributeError(name)
+        stride, rows, lower = self._rows
+        self._parts = lower(stride, rows)
+        return self._parts
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (
-            self.vars == other.vars
-            and self.order == other.order
-            and self._parts == other._parts
-        )
+        if self.vars != other.vars or self.order != other.order:
+            return False
+        mine, theirs = getattr(self, "_rows", None), getattr(other, "_rows", None)
+        if mine and theirs and mine[:2] == theirs[:2]:  # equal rows of one stride
+            return True
+        return self._parts == other._parts
 
     # -- ring operations ---------------------------------------------------
 
@@ -353,6 +365,13 @@ def _make(order, parts, vars) -> TruncSeries:
     s.vars = vars
     s.order = order
     s._parts = parts
+    return s
+
+
+def _from_rows(order: int, stride: int, rows: list, lower) -> TruncSeries:
+    """A series in z held as int ``rows`` whose parts are ``lower(stride, rows)``."""
+    s = TruncSeries.__new__(TruncSeries)
+    s.vars, s.order, s._rows = DEFAULT_VARS, order, (stride, rows, lower)
     return s
 
 

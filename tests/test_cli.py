@@ -534,6 +534,24 @@ def test_expand_headline_checks_and_hermite_run_without_the_series_kernel(capsys
         assert (code, err) == (0, "") and run(argv) == (0, out, ""), argv
 
 
+def test_verified_headline_checks_compare_rows_without_lowering(capsys, monkeypatch):
+    """With the ``Rational`` that lowers integer rows raising, ``verify main`` and
+    ``verify doetsch`` still verify: equal rows of one stride compare equal unlowered.
+    ``expand`` prints the lowered coefficients, so it reaches the patch and fails."""
+
+    def no_rational(*args):
+        raise AssertionError("a row was lowered")
+
+    monkeypatch.setattr("lacunary.hermite.Rational", no_rational)
+    for identity in ("main", "doetsch"):
+        code, out = run_cli(capsys, "verify", identity, "--order", "48")
+        assert (code, out) == (0, f"{identity} @ order 48: verified\n")
+    code = cli.main(["expand", "lhs-main", "--order", "4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "lacunary: internal error: AssertionError: a row was lowered\n"
+
+
 def _modules_after(statement):
     """The modules a fresh interpreter holds after running ``statement``."""
     probe = f"import sys\n{statement}\nprint(' '.join(sys.modules))"

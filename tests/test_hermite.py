@@ -1,16 +1,21 @@
 """Hermite polynomial generators, moments, and the normalization bridge."""
 
 import math
+from itertools import islice
 
 import pytest
 
 from lacunary import Rational, cli
 from lacunary.hermite import (
+    _OPERATORS,
     HermiteKind,
+    _egf_series,
     hermite,
     hermite_H,
     hermite_h,
     m_moment,
+    matching_rows,
+    operator_rows,
 )
 from lacunary.oracle import enumerate_matchings
 from lacunary.poly import UPolynomial
@@ -137,3 +142,34 @@ def test_egf_from_rows_equals_the_exp_of_its_exponent(kind):
     build = cli.SERIES_BUILDERS[f"hermite-{kind.value}-egf"]
     for order in range(49):
         assert build(order) == hermite_egf_product(kind, order), order
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+def test_matching_rows_are_the_solved_h_rows(stride):
+    """The rows counted from matchings equal every stride-th row that ``operator_rows``
+    solves from h's operator, for t <= 64."""
+    solved = islice(operator_rows(_OPERATORS[HermiteKind.PROBABILIST], 1), 0, None, stride)
+    assert list(islice(matching_rows(stride), 65)) == list(islice(solved, 65))
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+def test_matching_rows_count_the_matchings(stride):
+    """Row t is h_m, m = stride*t, as the matchings oracle counts it, for m <= 14."""
+    for m, row in zip(range(0, 15, stride), matching_rows(stride)):
+        assert UPolynomial({(m % 2 + 2 * i, 0): a for i, a in enumerate(row)}) == enumerate_matchings(m)
+
+
+def test_series_of_rows_compare_by_value():
+    """A series held as int rows equals another by value: equal rows of one stride at
+    once, else by the lowered parts.  So different rows of equal value are equal, equal
+    rows of different strides are not, and a series of rows equals its twin from the
+    constructor, both ways."""
+    one = _egf_series(1, [[1], [0]], 2)
+    assert one == _egf_series(1, [[1], [0, 0]], 3)
+    assert _egf_series(1, [[1], [0, 0]], 3) == one
+    assert one == TruncSeries.one(1) and TruncSeries.one(1) == one
+    assert _egf_series(1, [[1], [1]], 2) != _egf_series(1, [[1], [1]], 3)
+    h = _egf_series(2, [[1], [1], [1, 1]], 1)
+    twin = TruncSeries(2, {(0,): 1, (1,): U(), (2,): (U() * U() + 1) / 2})
+    assert h == twin and twin == h
+    assert h != _egf_series(2, [[1], [1], [1, 2]], 1)

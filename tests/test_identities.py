@@ -152,17 +152,18 @@ def test_route_identities_at_order_48(name):
     assert verify(name, 48).verified
 
 
-def _main_or_doetsch_verifies() -> bool:
-    return verify("main", 8).verified or verify("doetsch", 8).verified
-
-
 # (the dict that holds a table, its key there, a check that passes only if it is exact):
-# main and doetsch each read their own table and the h table, so a wrong h table must
-# fail both; H feeds neither identity, so the h/H coefficient relation checks it
+# main and doetsch each read their own table, and their left sides count matchings, so
+# the h table is checked against the matchings oracle; H feeds neither identity, so the
+# h/H coefficient relation checks it
 OPERATOR_TABLES = [
     (vars(identities), "_F_OPERATOR", lambda: verify("main", 8).verified),
     (vars(identities), "_DOETSCH_OPERATOR", lambda: verify("doetsch", 8).verified),
-    (hermite._OPERATORS, HermiteKind.PROBABILIST, _main_or_doetsch_verifies),
+    (
+        hermite._OPERATORS,
+        HermiteKind.PROBABILIST,
+        lambda: all(hermite_h(n) == enumerate_matchings(n) for n in range(9)),
+    ),
     (
         hermite._OPERATORS,
         HermiteKind.PHYSICIST,
