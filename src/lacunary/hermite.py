@@ -1,20 +1,19 @@
 """The two Hermite normalizations, the moment sequence they share, and the one
-integer row solver of the linear ODEs behind every row sequence in ``lacunary``.
+integer row solver of the linear ODEs behind both headline right sides.
 
-``hermite_h`` is the matchings normalization with exponential generating
-function e^(u*z + z^2/2): h_n(u) sums u^(#unmatched) over all matchings of
-an n-set, so every coefficient is a nonnegative integer.  ``hermite_H`` is
-the physicists' normalization with generating function e^(2*u*z - z^2).
-Each EGF solves F' = (u + z) F or F' = (2u - 2z) F, whose tables
-``_OPERATORS`` holds; ``operator_rows`` solves them for the ``int`` rows
-t! F_t, the coefficient lists of h_t and H_t, as ``identities`` solves the
-right sides of both headline identities from theirs; the left sides' rows of
-h_(stride*t) count matchings (``matching_rows``) and share no arithmetic with those.
-The two readers of the row layout are ``hermite``, which makes a ``UPolynomial``
-of one row, and ``_egf_series``, which holds rows as the series sum_t row_t z^t / t!
-(``hermite_egf`` here and all four headline sides), lowered to ``Rational`` only
-when first read; equal rows compare equal unlowered, so a verified headline
-check compares ``int`` rows.
+Both kinds count weighted matchings.  With EGF e^(a u z + b z^2 / 2), the
+polynomial of degree m sums, over the matchings of an m-set, a u per unmatched
+point times b per edge: (a, b) = (1, 1) for ``hermite_h``, the matchings
+normalization with nonnegative integer coefficients, and (2, -2) for
+``hermite_H``, the physicists'.  ``hermite_rows`` yields their ``int``
+coefficient lists at the degrees stride*t, as ``operator_rows`` yields the rows
+t! F_t of the power series F that solves an ODE table (``identities`` solves
+the right sides of both headline identities from theirs), so the two sides of a
+headline check share no arithmetic.  ``hermite`` makes a ``UPolynomial`` of one
+row, and ``series._egf_series`` holds a row recipe as the series sum_t row_t
+z^t / t! (``hermite_egf`` here and all four headline sides): two such series of
+one stride compare row by row, and a series is lowered to ``Rational`` only
+when first read.
 
 ``m_moment`` is the moment sequence (2k)!/(2^k k!) on even indices and 0 on
 odd ones, i.e. the number of perfect matchings of an n-set; it drives the
@@ -33,13 +32,12 @@ import enum
 import math
 from collections import deque
 from collections.abc import Iterator
-from fractions import Fraction as Rational
+from functools import partial
 from itertools import count, islice
 from operator import add
 
 from .poly import UPolynomial, _check_nonnegative_int
-from .poly import _make as _make_poly
-from .series import TruncSeries, _from_rows
+from .series import TruncSeries, _egf_series
 
 
 class HermiteKind(enum.Enum):
@@ -83,58 +81,43 @@ def operator_rows(operator: dict, stride: int) -> Iterator[list[int]]:
         yield acc
 
 
-def matching_rows(stride: int) -> Iterator[list[int]]:
-    """The rows of h_m, m = stride*t, t = 0, 1, ..., in the layout of ``operator_rows``,
-    from the matchings they count: m!/(2^k k! (m-2k)!) with k edges, at u^(m-2k), is the
-    count with k-1 edges times (m-2k+2)(m-2k+1)/(2k)."""
-    for m in count(0, _check_nonnegative_int(stride, "stride")):
-        row = [1]
-        for k in range(m // 2):
-            row.append(row[-1] * ((m - 2 * k) * (m - 2 * k - 1)) // (2 * (k + 1)))
-        yield row[::-1]
-
-
-def _egf_series(order: int, rows, stride: int) -> TruncSeries:
-    """sum_(t<=order) row_t(u) z^t / t! of rows in the layout of ``operator_rows``,
-    entry i of row t at u^(stride*t%2 + 2i), held as rows until ``_lower_rows``."""
-    rows = list(islice(rows, _check_nonnegative_int(order, "truncation order") + 1))
-    return _from_rows(order, stride, rows, _lower_rows)
-
-
-def _lower_rows(stride: int, rows: list) -> dict:
-    """The parts row_t(u) / t! of ``_egf_series``; an all-zero row stores no part."""
-    parts, scale = {}, 1
-    for t, row in enumerate(rows):
-        scale *= t or 1
-        parity = stride * t % 2
-        if part := {(parity + 2 * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}:
-            parts[t] = _make_poly(part)
-    return parts
-
-
-_OPERATORS = {  # F' = sum c z^j u^p (d/dz)^k F over the table {(k, j, p): c}
-    HermiteKind.PROBABILIST: {(0, 0, 1): 1, (0, 1, 0): 1},  # F' = (u + z) F
-    HermiteKind.PHYSICIST: {(0, 0, 1): 2, (0, 1, 0): -2},  # F' = (2u - 2z) F
+_WEIGHTS = {  # (a, b) of the EGF e^(a u z + b z^2 / 2)
+    HermiteKind.PROBABILIST: (1, 1),
+    HermiteKind.PHYSICIST: (2, -2),
 }
 
 
+def hermite_rows(weights: tuple, stride: int) -> Iterator[list[int]]:
+    """Row t = 0, 1, ... is m! [z^m] e^(a u z + b z^2 / 2), m = stride*t, in the layout of
+    ``operator_rows``: each matching of an m-set weighs a u per unmatched point and b per
+    edge, so the term of k edges at u^(m-2k), m!/(2^k k! (m-2k)!) a^(m-2k) b^k, is that of
+    k-1 edges times b (m-2k+2)(m-2k+1) / (2 a^2 k), divided exactly."""
+    a, b = weights
+    for m in count(0, _check_nonnegative_int(stride, "stride")):
+        row = [a**m]
+        for k in range(1, m // 2 + 1):
+            row.append(row[-1] * (b * (m - 2 * k + 2) * (m - 2 * k + 1)) // (2 * a * a * k))
+        yield row[::-1]
+
+
 def hermite(kind: HermiteKind, n: int) -> UPolynomial:
-    row = next(islice(operator_rows(_OPERATORS[kind], 1), _check_nonnegative_int(n, "n"), None))
+    # row 1 of stride n has degree n (row 0 is 1, as every row is at n = 0)
+    row = next(islice(hermite_rows(_WEIGHTS[kind], _check_nonnegative_int(n, "n")), 1, None))
     return UPolynomial({(n % 2 + 2 * i, 0): a for i, a in enumerate(row) if a})
 
 
 def hermite_egf(kind: HermiteKind, order: int) -> TruncSeries:
-    """sum_(n<=order) h_n(u) z^n / n!, or the same of H_n, solved from its EGF's operator."""
-    return _egf_series(order, operator_rows(_OPERATORS[kind], 1), 1)
+    """sum_(n<=order) h_n(u) z^n / n!, or the same of H_n, from the weighted matchings."""
+    return _egf_series(order, partial(hermite_rows, _WEIGHTS[kind], 1), 1)
 
 
 def hermite_h(n: int) -> UPolynomial:
-    """Matchings-normalized Hermite polynomial: h_{n+1} = u*h_n + n*h_{n-1}."""
+    """Matchings-normalized Hermite polynomial: u^(#unmatched) summed over n-set matchings."""
     return hermite(HermiteKind.PROBABILIST, n)
 
 
 def hermite_H(n: int) -> UPolynomial:
-    """Physicists' Hermite polynomial: H_{n+1} = 2u*H_n - 2n*H_{n-1}."""
+    """Physicists' Hermite polynomial: n-set matchings, 2u per unmatched point, -2 per edge."""
     return hermite(HermiteKind.PHYSICIST, n)
 
 

@@ -25,9 +25,9 @@ cheap to rebuild.
 
 Both headline right sides are D-finite: ``rhs_main`` and ``rhs_doetsch`` solve
 their ODEs, in the solved form F' = ... of ``_F_OPERATOR`` and ``_DOETSCH_OPERATOR``,
-by ``hermite.operator_rows`` (which gives the Hermite EGFs' rows too), and the left
-sides count matchings by ``hermite.matching_rows``; ``hermite._egf_series`` holds
-either as a series of rows, so a verified check compares ``int`` rows.  So ``main``
+by ``hermite.operator_rows``, its only callers, and the left sides count matchings
+by ``hermite.hermite_rows``; ``series._egf_series`` holds each side as the recipe
+of its rows, so a verified check compares ``int`` rows, one pair at a time.  So ``main``
 reads neither w nor c_n nor any factor builder, no headline check multiplies a
 series, and the three factors' product, ``rhs_main_product_route``, is main's
 check, run by ``rhs-main-routes``.
@@ -51,12 +51,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Rational
+from functools import partial
 
-from .hermite import _egf_series, matching_rows, operator_rows
+from .hermite import _WEIGHTS, HermiteKind, hermite_rows, operator_rows
 from .poly import POLY_U, UPolynomial, _check_nonnegative_int
 from .poly import _make as _make_poly
 from .report import IdentityReport, Mismatch, compare_series
-from .series import DEFAULT_VARS, TruncSeries
+from .series import DEFAULT_VARS, TruncSeries, _egf_series
 from .series import _make as _make_series
 from .umbral import verify_corollary_and_ecor, verify_lemma_fm_i, verify_lemma_fm_ii
 
@@ -116,7 +117,8 @@ def lhs_lacunary(stride: int, order: int) -> TruncSeries:
     """sum_{n<=order} h_{stride*n}(u) z^n / n! for stride 2 or 3, from the matching counts."""
     if _check_nonnegative_int(stride, "stride") not in (2, 3):
         raise ValueError(f"stride must be 2 or 3, got {stride}")
-    return _egf_series(order, matching_rows(stride), stride)
+    h = _WEIGHTS[HermiteKind.PROBABILIST]
+    return _egf_series(order, partial(hermite_rows, h, stride), stride)
 
 
 # F = rhs_doetsch solves (1 - 2z)^2 F' = (1 - 2z + u^2) F with F(0) = 1, that is
@@ -127,7 +129,7 @@ _DOETSCH_OPERATOR = {(0, 0, 0): 1, (0, 0, 2): 1, (0, 1, 0): -2, (1, 1, 0): 4, (1
 
 def rhs_doetsch(order: int) -> TruncSeries:
     """(1 - 2z)^(-1/2) * exp(u^2 z / (1 - 2z)), solved from its own operator."""
-    return _egf_series(order, operator_rows(_DOETSCH_OPERATOR, 2), 2)
+    return _egf_series(order, partial(operator_rows, _DOETSCH_OPERATOR, 2), 2)
 
 
 # -- the tree generating function, three ways --------------------------------
@@ -213,7 +215,7 @@ _F_OPERATOR = {
 
 def rhs_main(order: int) -> TruncSeries:
     """exp(T) (1-6wz)^(-1/2) sum_n c_n z^(2n) (1-6wz)^(-3n), solved from its own operator."""
-    return _egf_series(order, operator_rows(_F_OPERATOR, 3), 3)
+    return _egf_series(order, partial(operator_rows, _F_OPERATOR, 3), 3)
 
 
 # -- hypergeometric form -------------------------------------------------------

@@ -41,11 +41,12 @@ each product is scaled by an integer to a common denominator, the multiply-add
 loop adds pure ``int`` products into sums keyed by (degree, (deg_u, deg_y)),
 and each sum is *lowered* once, with one gcd, back to a ``Rational``; sums that
 cancel are pruned.  Only the check routes, the umbral lemmas and the census
-check call it: the hot paths build series of integer rows (``_from_rows``),
-which lower the rows to parts when first read (the unset ``_parts`` slot reaches
-``__getattr__``, which no other series calls).  Two series of equal rows and
-stride are equal unlowered; every other pair is compared by parts, so rows never
-decide that two series differ.
+check call it: the hot paths build series of integer rows (``_egf_series``),
+which hold the recipe that yields the rows afresh, keep no row, and lower the
+rows to parts when first read (the unset ``_parts`` slot reaches ``__getattr__``,
+which no other series calls).  Two series of rows of one stride compare row by
+row, and are equal unlowered if every row is; every other pair is compared by
+parts, so rows never decide that two series differ.
 
 Instances are immutable and all operations are pure.
 """
@@ -54,8 +55,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Rational
-from itertools import accumulate, repeat, takewhile
-from operator import mul
+from itertools import accumulate, islice, repeat, takewhile
+from operator import eq, mul
 from typing import Iterator, Mapping, Sequence, Tuple
 
 from .poly import POLY_ONE, POLY_ZERO, UPolynomial, _check_nonnegative_int, _power
@@ -177,8 +178,8 @@ class TruncSeries:
     def __getattr__(self, name):  # only a series of rows lacks _parts, until first read
         if name != "_parts":
             raise AttributeError(name)
-        stride, rows, lower = self._rows
-        self._parts = lower(stride, rows)
+        stride, rows = self._rows
+        self._parts = _lower_rows(stride, rows())
         return self._parts
 
     def __eq__(self, other) -> bool:
@@ -187,8 +188,8 @@ class TruncSeries:
         if self.vars != other.vars or self.order != other.order:
             return False
         mine, theirs = getattr(self, "_rows", None), getattr(other, "_rows", None)
-        if mine and theirs and mine[:2] == theirs[:2]:  # equal rows of one stride
-            return True
+        if mine and theirs and mine[0] == theirs[0] and all(map(eq, mine[1](), theirs[1]())):
+            return True  # equal rows of one stride, drawn one pair at a time
         return self._parts == other._parts
 
     # -- ring operations ---------------------------------------------------
@@ -368,11 +369,24 @@ def _make(order, parts, vars) -> TruncSeries:
     return s
 
 
-def _from_rows(order: int, stride: int, rows: list, lower) -> TruncSeries:
-    """A series in z held as int ``rows`` whose parts are ``lower(stride, rows)``."""
+def _egf_series(order: int, rows, stride: int) -> TruncSeries:
+    """sum_(t<=order) row_t(u) z^t / t! of the int rows that each call of ``rows`` yields
+    afresh, entry i of row t at u^(stride*t%2 + 2i), held as that recipe."""
     s = TruncSeries.__new__(TruncSeries)
-    s.vars, s.order, s._rows = DEFAULT_VARS, order, (stride, rows, lower)
+    s.vars, s.order = DEFAULT_VARS, _check_nonnegative_int(order, "truncation order")
+    s._rows = stride, lambda: islice(rows(), order + 1)
     return s
+
+
+def _lower_rows(stride: int, rows) -> dict:
+    """The parts row_t(u) / t! of ``_egf_series``; an all-zero row stores no part."""
+    parts, scale = {}, 1
+    for t, row in enumerate(rows):
+        scale *= t or 1
+        parity = stride * t % 2
+        if part := {(parity + 2 * i, 0): Rational(a, scale) for i, a in enumerate(row) if a}:
+            parts[t] = _make_poly(part)
+    return parts
 
 
 # -- the integer kernel ----------------------------------------------------------

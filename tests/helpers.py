@@ -11,12 +11,12 @@ lacunary, for the tests that must not share the suite's warm caches.
 The helpers at the end are test-only: the antiderivative in u, the
 multi-cycle factor as a power sum over P = z^2 (1-6wz)^(-3) (the oracle of
 its closed form), Doetsch's right side as a product of series and both
-Hermite EGFs as the exp of their exponents (the oracles of their solutions
-from their operators), the per-graph model of a marked graph
-with its union-find component profile (the oracle of the census walk), the
-generator of every canonical w-tree (the oracle of the memoized w-tree
-count), views of brute-force objects (the fixed points of a matching, the
-slots and edges of a marked graph), every plane drawing of the w-trees
+Hermite EGFs as the exp of their exponents and as the tables of their ODEs
+(the oracles of their rows from weighted matchings), the per-graph model of a
+marked graph with its union-find component profile (the oracle of the census
+walk), the generator of every canonical w-tree (the oracle of the memoized
+w-tree count), views of brute-force objects (the fixed points of a matching,
+the slots and edges of a marked graph), every plane drawing of the w-trees
 together with the quotient that recovers the canonical ones, and the
 coefficient-wise h/H normalization relation.
 """
@@ -233,6 +233,15 @@ def doetsch_product(order: int) -> TruncSeries:
     base = TruncSeries.one(order) - 2 * TruncSeries.variable("z", order)
     arg = TruncSeries.monomial((1,), UPolynomial.u(power=2), order) * base**-1
     return base ** Rational(-1, 2) * arg.exp()
+
+
+# The Hermite EGFs' first-order ODEs F' = (u + z) F and F' = (2u - 2z) F as tables
+# {(k, j, p): c} of F' = sum c z^j u^p (d/dz)^k F, which ``hermite.operator_rows``
+# solves: the oracle of the weighted-matching rows that shares none of their arithmetic.
+HERMITE_OPERATORS = {
+    HermiteKind.PROBABILIST: {(0, 0, 1): 1, (0, 1, 0): 1},
+    HermiteKind.PHYSICIST: {(0, 0, 1): 2, (0, 1, 0): -2},
+}
 
 
 def hermite_egf_product(kind: HermiteKind, order: int) -> TruncSeries:

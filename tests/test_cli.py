@@ -542,7 +542,7 @@ def test_verified_headline_checks_compare_rows_without_lowering(capsys, monkeypa
     def no_rational(*args):
         raise AssertionError("a row was lowered")
 
-    monkeypatch.setattr("lacunary.hermite.Rational", no_rational)
+    monkeypatch.setattr("lacunary.series.Rational", no_rational)
     for identity in ("main", "doetsch"):
         code, out = run_cli(capsys, "verify", identity, "--order", "48")
         assert (code, out) == (0, f"{identity} @ order 48: verified\n")

@@ -41,7 +41,12 @@ from lacunary.report import compare_series
 from lacunary.series import TruncSeries
 from lacunary.umbral import exp_of_m_power
 
-from helpers import doetsch_product, multi_cycle_power_sum, normalization_relation_check
+from helpers import (
+    HERMITE_OPERATORS,
+    doetsch_product,
+    multi_cycle_power_sum,
+    normalization_relation_check,
+)
 
 
 def test_catalan_numbers():
@@ -152,37 +157,44 @@ def test_route_identities_at_order_48(name):
     assert verify(name, 48).verified
 
 
-# (the dict that holds a table, its key there, a check that passes only if it is exact):
-# main and doetsch each read their own table, and their left sides count matchings, so
-# the h table is checked against the matchings oracle; H feeds neither identity, so the
-# h/H coefficient relation checks it
+# (the dict that holds a table or weight pair, its key there, a check that passes only
+# if it is exact): main and doetsch each read their own table; h's weights give the
+# rows their left sides and hermite_h count, so the matchings oracle checks them; H
+# feeds neither identity, so the h/H coefficient relation checks its weights
 OPERATOR_TABLES = [
     (vars(identities), "_F_OPERATOR", lambda: verify("main", 8).verified),
     (vars(identities), "_DOETSCH_OPERATOR", lambda: verify("doetsch", 8).verified),
     (
-        hermite._OPERATORS,
+        hermite._WEIGHTS,
         HermiteKind.PROBABILIST,
         lambda: all(hermite_h(n) == enumerate_matchings(n) for n in range(9)),
     ),
     (
-        hermite._OPERATORS,
+        hermite._WEIGHTS,
         HermiteKind.PHYSICIST,
         lambda: all(normalization_relation_check(n) for n in range(9)),
     ),
 ]
 
 
+def _one_too_high(exact):
+    """Each copy of a table or weight pair with one entry raised by one."""
+    if isinstance(exact, dict):
+        return [{**exact, key: c + 1} for key, c in exact.items()]
+    return [(*exact[:i], c + 1, *exact[i + 1:]) for i, c in enumerate(exact)]
+
+
 def test_main_fails_for_every_recurrence_entry_off_by_one(monkeypatch):
-    """operator_rows reads every entry of each table, and an entry one too high fails
-    the check that reads the table.  A table holds no lead entry for F' itself: the
-    solver reads F' as row t, so there is no coefficient of it to perturb."""
+    """operator_rows reads every entry of each table, the weighted matchings read both
+    weights of each kind, and an entry one too high fails the check that reads it.  A
+    table holds no lead entry for F' itself: the solver reads F' as row t, so there is
+    no coefficient of it to perturb."""
     for namespace, name, check in OPERATOR_TABLES:
         assert check(), name
-        exact = namespace[name]
-        for key, c in exact.items():
+        for wrong in _one_too_high(namespace[name]):
             with monkeypatch.context() as patch:
-                patch.setitem(namespace, name, {**exact, key: c + 1})
-                assert not check(), (name, key)
+                patch.setitem(namespace, name, wrong)
+                assert not check(), (name, wrong)
 
 
 # the four tables in their earlier form L F = 0, each with the lead entry (1, 0, 0) = 1
@@ -203,8 +215,8 @@ LEAD_ENTRY_TABLES = [
     [
         (identities._F_OPERATOR, 3, None),
         (identities._DOETSCH_OPERATOR, 2, None),
-        (hermite._OPERATORS[HermiteKind.PROBABILIST], 1, None),
-        (hermite._OPERATORS[HermiteKind.PHYSICIST], 1, None),
+        (HERMITE_OPERATORS[HermiteKind.PROBABILIST], 1, None),
+        (HERMITE_OPERATORS[HermiteKind.PHYSICIST], 1, None),
         # F' = (u^3 + z) F: u^3 F_r reaches past u^(r+1), whichever entry comes first
         ({(0, 0, 3): 1, (0, 1, 0): 1}, 1, (0, 0, 3)),
         ({(0, 1, 0): 1, (0, 0, 3): 1}, 1, (0, 0, 3)),
@@ -266,7 +278,7 @@ def test_rhs_doetsch_equals_the_product_of_its_factors():
 def test_right_side_rows_are_the_hermite_rows(stride, table):
     """Before any Fraction is made, row t of each right side's solution is the int
     coefficient list of h_(stride t) in the one row layout, for t <= 64."""
-    h = operator_rows(hermite._OPERATORS[HermiteKind.PROBABILIST], 1)
+    h = operator_rows(HERMITE_OPERATORS[HermiteKind.PROBABILIST], 1)
     rhs = operator_rows(getattr(identities, table), stride)
     assert list(islice(h, 0, 64 * stride + 1, stride)) == list(islice(rhs, 65))
 
@@ -428,10 +440,10 @@ def test_mismatch_reporting():
 
 def test_egf_series_stores_no_part_for_a_zero_row():
     """A zero row adds no part: the series equals the constructor's, and all-zero rows
-    make a zero series."""
-    egf = hermite._egf_series(3, [[1], [0], [0, 0], [1, 0, 0, 0]], 2)
+    make a zero series.  A list's ``__iter__`` is a recipe of its rows."""
+    egf = hermite._egf_series(3, [[1], [0], [0, 0], [1, 0, 0, 0]].__iter__, 2)
     assert egf == TruncSeries(3, {(0,): 1, (3,): Rational(1, 6)})
-    zero = hermite._egf_series(2, [[0], [0, 0], [0, 0, 0]], 2)
+    zero = hermite._egf_series(2, [[0], [0, 0], [0, 0, 0]].__iter__, 2)
     assert not zero and zero == TruncSeries.zero(2)
 
 
@@ -542,8 +554,8 @@ def test_f_operator_annihilates_the_right_side():
     "namespace, name, closed_form",
     [
         (vars(identities), "_DOETSCH_OPERATOR", "(1 - 2*z)**(-1/2) * exp(u**2*z / (1 - 2*z))"),
-        (hermite._OPERATORS, HermiteKind.PROBABILIST, "exp(u*z + z**2/2)"),
-        (hermite._OPERATORS, HermiteKind.PHYSICIST, "exp(2*u*z - z**2)"),
+        (HERMITE_OPERATORS, HermiteKind.PROBABILIST, "exp(u*z + z**2/2)"),
+        (HERMITE_OPERATORS, HermiteKind.PHYSICIST, "exp(2*u*z - z**2)"),
     ],
     ids=["doetsch", "h", "H"],
 )
